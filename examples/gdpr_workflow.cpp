@@ -1,6 +1,7 @@
 // GDPR-style end-to-end workflow (paper Example 1) through the high-level
-// API: CSV in → policy written in the policy language → budgeted engine →
-// CSV out, with the composed guarantee printed at the end.
+// API: CSV in → policy written in the policy language → budgeted query
+// service (one analyst session) → CSV out, with the composed guarantee
+// printed at the end.
 //
 // Build & run:  ./build/examples/gdpr_workflow
 
@@ -10,6 +11,7 @@
 #include "src/core/engine.h"
 #include "src/data/csv.h"
 #include "src/policy/parser.h"
+#include "src/runtime/query_service.h"
 
 using namespace osdp;  // example code; library code never does this
 
@@ -47,14 +49,18 @@ int main() {
   Policy policy = *ParsePolicy("age < 16 OR consent = 0", "P_gdpr");
   std::printf("policy: %s\n", policy.sensitive_predicate().ToString().c_str());
 
-  // --- budgeted engine ----------------------------------------------------
+  // --- budgeted service ---------------------------------------------------
   OsdpEngine::Options opts;
   opts.total_epsilon = 2.0;
-  OsdpEngine engine = *OsdpEngine::Create(std::move(table), policy, opts);
+  QueryService::Options service_opts;
+  service_opts.per_session_epsilon = opts.total_epsilon;
+  auto service = *QueryService::Create(
+      *OsdpEngine::Create(std::move(table), policy, opts), service_opts);
+  const QueryService::SessionId analyst = service->OpenSession("analytics");
   std::printf("engine ready: budget eps = %.2f\n\n", opts.total_epsilon);
 
   // 1. A true microdata sample for the analytics team.
-  Table sample = *engine.ReleaseSample(0.5);
+  Table sample = *service->AnswerSample(analyst, 0.5)->sample;
   std::printf("released %zu true records (OsdpRR, eps=0.5)\n",
               sample.num_rows());
   const std::string out_path = "/tmp/osdp_gdpr_sample.csv";
@@ -64,23 +70,27 @@ int main() {
 
   // 2. An age histogram for the marketing dashboard.
   HistogramQuery age_query{"age", *Domain1D::Numeric(10, 80, 14), std::nullopt};
-  Histogram ages = *engine.AnswerHistogram(age_query, 1.0,
-                                           EngineMechanism::kDawaz);
+  Histogram ages = *service
+                        ->AnswerHistogram(analyst, age_query, 1.0,
+                                          EngineMechanism::kDawaz)
+                        ->histogram;
   std::printf("age histogram (DAWAz, eps=1.0): first bins = %s\n",
               ages.ToString().c_str());
 
   // 3. One ad-hoc count.
   double minors_opted_in =
-      *engine.AnswerCount(*ParsePredicate("age >= 16 AND age < 30"), 0.5);
+      service->AnswerCount(analyst, *ParsePredicate("age >= 16 AND age < 30"),
+                           0.5)
+          ->count;
   std::printf("noisy count of consenting 16-29s: %.1f\n", minors_opted_in);
 
   // --- the final accounting ----------------------------------------------
-  ComposedGuarantee g = *engine.CurrentGuarantee();
+  ComposedGuarantee g = *service->CurrentGuarantee();
   std::printf("\nafter all releases: (%s, %.2f)-OSDP; remaining budget %.2f\n",
-              g.policy.name().c_str(), g.epsilon, engine.remaining_budget());
+              g.policy.name().c_str(), g.epsilon, service->remaining_budget());
 
   // A fourth query must fail: the budget is spent.
-  auto refused = engine.AnswerCount(*ParsePredicate("TRUE"), 0.5);
+  auto refused = service->AnswerCount(analyst, *ParsePredicate("TRUE"), 0.5);
   std::printf("one more query? %s\n", refused.status().ToString().c_str());
   return 0;
 }

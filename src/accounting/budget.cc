@@ -10,12 +10,13 @@ constexpr double kEpsTolerance = 1e-9;
 }  // namespace
 
 PrivacyBudget::PrivacyBudget(double total_epsilon) : total_(total_epsilon) {
-  OSDP_CHECK_MSG(total_epsilon > 0.0, "budget must be positive");
+  OSDP_CHECK_MSG(IsValidEpsilon(total_epsilon),
+                 "budget must be positive and finite");
 }
 
 Status PrivacyBudget::Spend(double epsilon, const std::string& label) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon charge must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon charge must be positive and finite");
   }
   if (spent_ + epsilon > total_ + kEpsTolerance) {
     return Status::BudgetExhausted(

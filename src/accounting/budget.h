@@ -3,6 +3,7 @@
 #ifndef OSDP_ACCOUNTING_BUDGET_H_
 #define OSDP_ACCOUNTING_BUDGET_H_
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -10,13 +11,19 @@
 
 namespace osdp {
 
+/// True iff `epsilon` is a usable privacy parameter: positive and finite
+/// (NaN fails). Every ε a request or a budget carries is checked with this.
+inline bool IsValidEpsilon(double epsilon) {
+  return epsilon > 0.0 && std::isfinite(epsilon);
+}
+
 /// \brief Tracks a total ε budget and the analyses charged against it.
 ///
 /// Sequential composition (Theorem 2.1 / 3.3) makes spent ε additive, so the
 /// budget refuses any charge that would push the running total past ε_total.
 class PrivacyBudget {
  public:
-  /// Creates a budget with the given total ε (> 0).
+  /// Creates a budget with the given total ε (positive and finite).
   explicit PrivacyBudget(double total_epsilon);
 
   /// Total ε the budget was created with.
@@ -26,8 +33,9 @@ class PrivacyBudget {
   /// ε still available.
   double remaining() const { return total_ - spent_; }
 
-  /// Charges `epsilon` (must be > 0) under `label`; BudgetExhausted if the
-  /// charge exceeds the remaining budget (beyond a tiny float tolerance).
+  /// Charges `epsilon` under `label`; InvalidArgument (nothing charged) if it
+  /// is not positive and finite, BudgetExhausted if the charge exceeds the
+  /// remaining budget (beyond a tiny float tolerance).
   Status Spend(double epsilon, const std::string& label);
 
   /// Splits off a fraction of the *remaining* budget and charges it,

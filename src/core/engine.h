@@ -1,24 +1,18 @@
-// OsdpEngine: the top-level facade tying the library together — a guarded
-// dataset with a policy, a privacy budget, and a composition ledger, through
-// which all releases flow. This is the "online setting" sketched in the
-// paper's Section 7: users dynamically ask queries, the engine enforces the
-// budget and tracks the composed (P, ε)-OSDP guarantee (Theorem 3.3).
+// OsdpEngine: a stateless mechanism dispatcher over a policy-guarded dataset —
+// the generation-0 snapshot, the policy, and the mechanism options. It holds
+// no budget, ledger or noise stream: every release of the paper's "online
+// setting" (Section 7) is served, charged and recorded by QueryService
+// (src/runtime/query_service.h), the dataset's single ε authority, which
+// enforces the budget and tracks the composed (P, ε)-OSDP guarantee
+// (Theorem 3.3).
 
 #ifndef OSDP_CORE_ENGINE_H_
 #define OSDP_CORE_ENGINE_H_
 
-#include <string>
-#include <vector>
-
-#include "src/accounting/budget.h"
-#include "src/accounting/composition.h"
 #include "src/common/random.h"
 #include "src/common/result.h"
-#include "src/data/row_mask.h"
 #include "src/data/snapshot.h"
-#include "src/data/table.h"
 #include "src/hist/histogram.h"
-#include "src/hist/histogram_query.h"
 #include "src/mech/dawa.h"
 #include "src/mech/dawaz.h"
 #include "src/mech/hierarchical.h"
@@ -36,76 +30,41 @@ enum class EngineMechanism {
   kHierarchical = 5,   ///< ε-DP hierarchical release (Hay et al.)
 };
 
-/// \brief A policy-guarded dataset with budgeted OSDP query answering.
-///
-/// Every successful release charges the budget and records a ledger entry;
-/// CurrentGuarantee() reports the sequential composition of everything
-/// released so far. Releases fail cleanly with kBudgetExhausted once the
-/// budget is spent — the dataset never leaks beyond its total ε.
+/// \brief A policy-guarded dataset plus the mechanism configuration that
+/// answers histogram queries over it. Immutable after Create apart from
+/// set_mech_pool; const methods are thread-compatible.
 class OsdpEngine {
  public:
   /// Engine configuration.
   struct Options {
-    double total_epsilon = 1.0;  ///< lifetime privacy budget
-    uint64_t seed = 0x05D9;      ///< randomness seed (reproducible runs)
-    DawaOptions dawa;            ///< options for DAWA-based mechanisms
-    DawazOptions dawaz;          ///< options for DAWAz
+    /// Lifetime privacy budget of the dataset, enforced by the QueryService
+    /// that serves it (the service-wide budget).
+    double total_epsilon = 1.0;
+    DawaOptions dawa;                  ///< options for DAWA-based mechanisms
+    DawazOptions dawaz;                ///< options for DAWAz
     HierarchicalOptions hierarchical;  ///< options for kHierarchical
   };
 
   /// Takes ownership of the data; `policy` marks sensitive records.
+  /// InvalidArgument for an empty dataset or a non-positive or non-finite
+  /// total_epsilon.
   static Result<OsdpEngine> Create(Table data, Policy policy, Options options);
 
-  /// \brief Releases a true sample of the non-sensitive records via OsdpRR
-  /// (Algorithm 1), charging `epsilon`.
-  Result<Table> ReleaseSample(double epsilon);
-
-  /// \brief Answers a histogram query with the chosen mechanism, charging
-  /// `epsilon`. DP mechanisms run on the full histogram; OSDP mechanisms on
-  /// the masked non-sensitive histogram (plus the full one for DAWAz).
-  Result<Histogram> AnswerHistogram(const HistogramQuery& query,
-                                    double epsilon,
-                                    EngineMechanism mechanism);
-
-  /// \brief Answers a scalar count (rows matching `where`) with one-sided
-  /// Laplace noise over the non-sensitive rows, charging `epsilon`. The
-  /// predicate is compiled and batch-evaluated against the cached
-  /// non-sensitive mask; a predicate that does not fit the schema fails
-  /// (NotFound for unknown columns, InvalidArgument for string/numeric
-  /// mixes) before any budget is spent.
-  Result<double> AnswerCount(const Predicate& where, double epsilon);
-
-  /// \brief Runs `mechanism` over precomputed histograms without touching
-  /// budget, ledger, or the engine's own noise stream — the pure dispatch
-  /// shared by AnswerHistogram and concurrent front-ends (QueryService)
-  /// that bring their own per-query Rng. DP mechanisms consume `x`, OSDP
-  /// mechanisms `xns` (DAWAz both). Const and thread-compatible: concurrent
-  /// calls are safe as long as each passes a distinct Rng.
+  /// \brief Runs `mechanism` over precomputed histograms with the caller's
+  /// Rng — the pure dispatch QueryService releases histograms through, and
+  /// that serial replays call with the query's QuerySeed stream. DP
+  /// mechanisms consume `x`, OSDP mechanisms `xns` (DAWAz both). Const and
+  /// thread-compatible: concurrent calls are safe as long as each passes a
+  /// distinct Rng.
   Result<Histogram> RunMechanism(const Histogram& x, const Histogram& xns,
                                  double epsilon, EngineMechanism mechanism,
                                  Rng& rng) const;
 
-  /// \brief Spends `epsilon` and records the ledger entry for one release —
-  /// the accounting half of every Answer* method, exposed so a concurrent
-  /// front-end can route its own releases through the engine's lifetime
-  /// guarantee. Not thread-safe; callers serialize externally.
-  Status ChargeRelease(double epsilon, const std::string& label);
-
   /// \brief The engine's dataset snapshot: table + cached policy mask +
   /// generation id, immutable and shareable. Create() cuts generation 0
-  /// from the table it was given; streaming front-ends (QueryService) seed
-  /// their snapshot store from this and publish later generations
-  /// themselves — the engine's serial Answer* methods always run against
-  /// this snapshot.
+  /// from the table it was given; QueryService seeds its snapshot store
+  /// from this and publishes later generations itself.
   const SnapshotPtr& snapshot() const { return snapshot_; }
-
-  /// The guarded dataset (borrowed from the snapshot; valid as long as any
-  /// holder keeps the snapshot alive — at least the engine's lifetime).
-  const Table& data() const { return snapshot_->table; }
-
-  /// The cached non-sensitive row mask (batch-classified at construction,
-  /// immutable within the snapshot).
-  const RowMask& non_sensitive_mask() const { return snapshot_->non_sensitive; }
 
   /// The engine configuration.
   const Options& options() const { return options_; }
@@ -122,19 +81,6 @@ class OsdpEngine {
     options_.hierarchical.pool = pool;
   }
 
-  /// Remaining lifetime budget.
-  double remaining_budget() const { return budget_.remaining(); }
-
-  /// The budget ledger (one charge per successful release).
-  const PrivacyBudget& budget() const { return budget_; }
-
-  /// \brief The sequential composition of every release so far
-  /// (Theorem 3.3). Errors if nothing has been released yet.
-  Result<ComposedGuarantee> CurrentGuarantee() const;
-
-  /// Number of rows in the guarded dataset.
-  size_t num_rows() const { return snapshot_->table.num_rows(); }
-
   /// The active policy.
   const Policy& policy() const { return policy_; }
 
@@ -144,9 +90,6 @@ class OsdpEngine {
   SnapshotPtr snapshot_;  // generation-0 view: table + cached policy mask
   Policy policy_;
   Options options_;
-  PrivacyBudget budget_;
-  CompositionLedger ledger_;
-  Rng rng_;
 };
 
 /// Name of an EngineMechanism ("Laplace", "DAWAz", ...).

@@ -8,6 +8,7 @@
 #include "src/common/distributions.h"
 #include "src/common/fault.h"
 #include "src/data/compiled_predicate.h"
+#include "src/mech/osdp_rr.h"
 #include "src/runtime/parallel_scan.h"
 
 namespace osdp {
@@ -55,6 +56,9 @@ struct QueryService::PreparedRequest {
   // compiled exactly once per query.
   std::optional<PreparedHistogramQuery> hist_prepared;
   EngineMechanism mechanism = EngineMechanism::kOsdpLaplaceL1;
+
+  // Sample form: neither of the above is set — an OsdpRR release of the
+  // whole snapshot needs nothing bound ahead of execution.
 
   // The two-budget ε charge, held from reservation until Execute commits it
   // at delivery. Destroying a PreparedRequest whose reservation was never
@@ -113,7 +117,7 @@ QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
       metrics_(options.metrics_enabled && obs::MetricsEnabledFromEnv()),
       traces_(options.trace_ring_capacity),
       m_(ResolveMetrics(&metrics_)),
-      service_budget_(engine_.remaining_budget()),
+      service_budget_(engine_.options().total_epsilon),
       mask_cache_(MaskCache::Options{options.mask_cache_bytes,
                                      options.mask_cache_shards, m_.cache_hits,
                                      m_.cache_misses, m_.cache_evictions}),
@@ -137,12 +141,10 @@ QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
 
 Result<std::unique_ptr<QueryService>> QueryService::Create(OsdpEngine engine,
                                                            Options options) {
-  if (options.per_session_epsilon <= 0.0) {
-    return Status::InvalidArgument("per_session_epsilon must be positive");
-  }
-  if (engine.remaining_budget() <= 0.0) {
+  // The engine's total_epsilon was validated by OsdpEngine::Create.
+  if (!IsValidEpsilon(options.per_session_epsilon)) {
     return Status::InvalidArgument(
-        "engine has no remaining budget to serve from");
+        "per_session_epsilon must be positive and finite");
   }
   // The builder seeds from a copy of the engine's generation-0 snapshot
   // (adopting its already-computed mask rather than re-scanning the seed
@@ -287,41 +289,38 @@ Result<QueryService::PreparedRequest> QueryService::Validate(
   PreparedRequest prepared;
   prepared.snapshot = snapshot;
 
-  // Validate fully before touching either budget: a malformed query or a
-  // non-positive ε must cost nothing.
-  std::optional<std::chrono::steady_clock::time_point> deadline =
-      control.deadline;
+  // Validate fully before touching either budget: a malformed query or an ε
+  // that is not positive and finite (NaN included) must cost nothing.
+  prepared.epsilon =
+      std::visit([](const auto& r) { return r.epsilon; }, request);
+  if (!IsValidEpsilon(prepared.epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
   if (const auto* count = std::get_if<CountRequest>(&request)) {
-    if (count->epsilon <= 0.0) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
     OSDP_ASSIGN_OR_RETURN(
         CompiledPredicate compiled,
         CompiledPredicate::Compile(count->where, snapshot->table.schema()));
     prepared.count_pred = std::move(compiled);
-    prepared.epsilon = count->epsilon;
     prepared.label = "count query";
-    if (count->deadline.has_value() &&
-        (!deadline.has_value() || *count->deadline < *deadline)) {
-      deadline = count->deadline;
-    }
-  } else {
-    const auto& hist = std::get<HistogramRequest>(request);
-    if (hist.epsilon <= 0.0) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
+  } else if (const auto* hist = std::get_if<HistogramRequest>(&request)) {
     OSDP_ASSIGN_OR_RETURN(
         PreparedHistogramQuery bound,
-        PreparedHistogramQuery::Prepare(snapshot->table, hist.query));
+        PreparedHistogramQuery::Prepare(snapshot->table, hist->query));
     prepared.hist_prepared = std::move(bound);
-    prepared.mechanism = hist.mechanism;
-    prepared.epsilon = hist.epsilon;
+    prepared.mechanism = hist->mechanism;
     prepared.label =
-        std::string("histogram/") + EngineMechanismToString(hist.mechanism);
-    if (hist.deadline.has_value() &&
-        (!deadline.has_value() || *hist.deadline < *deadline)) {
-      deadline = hist.deadline;
-    }
+        std::string("histogram/") + EngineMechanismToString(hist->mechanism);
+  } else {
+    prepared.label = "OsdpRR sample";
+  }
+  // The tighter of the request's and the batch's deadline wins.
+  std::optional<std::chrono::steady_clock::time_point> deadline =
+      control.deadline;
+  const auto& request_deadline = std::visit(
+      [](const auto& r) -> const auto& { return r.deadline; }, request);
+  if (request_deadline.has_value() &&
+      (!deadline.has_value() || *request_deadline < *deadline)) {
+    deadline = request_deadline;
   }
   prepared.control = ExecControl(control.cancel, deadline);
   return prepared;
@@ -437,14 +436,15 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     RowMask matching = *scan_mask;
     ParallelAndWith(&matching, snap.non_sensitive, scan);
     const double count = static_cast<double>(ParallelCount(matching, scan));
-    // One-sided Laplace with sensitivity 1, exactly OsdpEngine::AnswerCount.
+    // One-sided Laplace with sensitivity 1: a one-sided neighbor can only
+    // grow the non-sensitive count (Section 5.1).
     OSDP_FAULT_POINT("mechanism/run");
     answer.count = count + SampleOneSidedLaplace(rng, 1.0 / prepared->epsilon);
     if (span != nullptr) {
       m_.h_mechanism->Record(
           span->Mark(obs::Stage::kMechanism, obs::NowNs()));
     }
-  } else {
+  } else if (prepared->hist_prepared.has_value()) {
     if (span != nullptr) span->trace().is_histogram = true;
     const PreparedHistogramQuery& query = *prepared->hist_prepared;
 
@@ -505,6 +505,17 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     if (span != nullptr) {
       // The mechanism stage of a histogram covers accumulation + release —
       // everything after the WHERE mask was resolved.
+      m_.h_mechanism->Record(
+          span->Mark(obs::Stage::kMechanism, obs::NowNs()));
+    }
+  } else {
+    // OsdpRR true sample (Algorithm 1) of the captured generation.
+    OSDP_FAULT_POINT("mechanism/run");
+    Result<Table> released =
+        OsdpRRRelease(snap.table, engine_.policy(), prepared->epsilon, rng);
+    if (!released.ok()) return released.status();
+    answer.sample = std::move(released).ValueOrDie();
+    if (span != nullptr) {
       m_.h_mechanism->Record(
           span->Mark(obs::Stage::kMechanism, obs::NowNs()));
     }
@@ -682,6 +693,13 @@ Result<ServiceAnswer> QueryService::AnswerHistogram(
     EngineMechanism mechanism) {
   std::vector<ServiceRequest> batch;
   batch.emplace_back(HistogramRequest{query, epsilon, mechanism});
+  return std::move(AnswerBatch(session, batch)[0]);
+}
+
+Result<ServiceAnswer> QueryService::AnswerSample(SessionId session,
+                                                 double epsilon) {
+  std::vector<ServiceRequest> batch;
+  batch.emplace_back(SampleRequest{epsilon});
   return std::move(AnswerBatch(session, batch)[0]);
 }
 

@@ -1,14 +1,24 @@
 // QueryService: the concurrent, multi-session query-answering front-end over
 // OsdpEngine — the paper's "online setting" (Section 7) at service scale,
-// now over a *streaming* dataset.
+// now over a *streaming* dataset, and the only place in the library where a
+// release is charged ε.
 //
-// Many analyst sessions submit batches of predicate-count and histogram
-// queries concurrently while a writer appends row batches through Ingest().
+// Many analyst sessions submit batches of requests concurrently while a
+// writer appends row batches through Ingest(). A request is one of:
+//
+//   * CountRequest — a noisy predicate count over the non-sensitive rows
+//     (one-sided Laplace, Section 5.1);
+//   * HistogramRequest — a histogram release through any EngineMechanism;
+//   * SampleRequest — an OsdpRR true sample of the non-sensitive rows
+//     (Algorithm 1).
+//
 // The service runs every scan sharded across the thread pool
 // (src/runtime/parallel_scan.h) and routes every charge through two budgets —
 // the analyst's session budget and the dataset's service-wide lifetime
-// budget — plus a thread-safe composition ledger that tracks the composed
-// (P, ε)-OSDP guarantee of everything released so far (Theorem 3.3).
+// budget (OsdpEngine::Options::total_epsilon) — plus a thread-safe
+// composition ledger that tracks the composed (P, ε)-OSDP guarantee of
+// everything released so far (Theorem 3.3). The engine itself is a stateless
+// mechanism dispatcher; it holds no budget, ledger or noise stream.
 //
 // Streaming model — snapshot isolation:
 //
@@ -77,9 +87,9 @@
 //     submission order, execute in parallel, refund on downstream failure),
 //     so concurrent batches can never jointly overspend either budget, and
 //     which query of a batch hits the budget wall is deterministic.
-//   * No charge for malformed queries: compilation and binning errors are
-//     caught during validation, before any reservation — the same contract
-//     as OsdpEngine's serial Answer* methods.
+//   * No charge for malformed queries: compilation and binning errors, and
+//     any ε that is not positive and finite, are caught during validation,
+//     before any reservation.
 //
 // The service takes ownership of the engine, making it the dataset's single
 // accounting authority: there is no aliased path that could spend the same ε
@@ -135,16 +145,28 @@ struct HistogramRequest {
   std::optional<std::chrono::steady_clock::time_point> deadline = std::nullopt;
 };
 
+/// An OsdpRR true-sample release (Algorithm 1), charging `epsilon`: each
+/// non-sensitive row of the snapshot is published unmodified with
+/// probability 1 - e^{-ε}; sensitive rows never are.
+struct SampleRequest {
+  double epsilon = 0.1;
+  /// Absolute per-request deadline; see CountRequest::deadline.
+  std::optional<std::chrono::steady_clock::time_point> deadline = std::nullopt;
+};
+
 /// One query of a batch.
-using ServiceRequest = std::variant<CountRequest, HistogramRequest>;
+using ServiceRequest =
+    std::variant<CountRequest, HistogramRequest, SampleRequest>;
 
 /// The answer to one query: `count` for CountRequest, `histogram` for
-/// HistogramRequest. `generation` is the snapshot generation the answer was
-/// computed against — replaying the query against that generation with the
-/// same (seed, session, seq) reproduces it bit-for-bit.
+/// HistogramRequest, `sample` for SampleRequest. `generation` is the
+/// snapshot generation the answer was computed against — replaying the
+/// query against that generation with the same (seed, session, seq)
+/// reproduces it bit-for-bit.
 struct ServiceAnswer {
   double count = 0.0;
   std::optional<Histogram> histogram;
+  std::optional<Table> sample;
   uint64_t generation = 0;
   /// The per-session submission sequence number this answer's noise stream
   /// was seeded with — together with (root seed, session, generation) it is
@@ -243,9 +265,10 @@ class QueryService {
     std::optional<CancelToken> cancel;
   };
 
-  /// Takes ownership of `engine`; its remaining budget becomes the
+  /// Takes ownership of `engine`; its Options::total_epsilon becomes the
   /// service-wide lifetime budget and its snapshot becomes generation 0 of
-  /// the streaming dataset.
+  /// the streaming dataset. InvalidArgument if per_session_epsilon is not
+  /// positive and finite.
   static Result<std::unique_ptr<QueryService>> Create(OsdpEngine engine,
                                                       Options options);
 
@@ -304,6 +327,7 @@ class QueryService {
                                         const HistogramQuery& query,
                                         double epsilon,
                                         EngineMechanism mechanism);
+  Result<ServiceAnswer> AnswerSample(SessionId session, double epsilon);
 
   /// \brief The noise-stream seed of one query — the full reproducibility
   /// contract, public so a serial replay can reconstruct any answer:
@@ -400,7 +424,7 @@ class QueryService {
   void EndBatch(size_t batch_queries);
 
   // Phase 1a: validate and bind one request against the captured snapshot —
-  // predicate compilation, histogram binding, ε checks. CPU-bound and
+  // ε checks, predicate compilation, histogram binding. CPU-bound and
   // lock-free, so concurrent batches validate in parallel.
   Result<PreparedRequest> Validate(const ServiceRequest& request,
                                    const SnapshotPtr& snapshot,

@@ -1,10 +1,15 @@
-// Tests for src/core: the OsdpEngine facade (budgeted online releases).
+// Tests for src/core: the OsdpEngine mechanism dispatcher. The budgeted
+// release flow (samples, histograms, counts, the composed guarantee) is
+// served by QueryService and tested in query_service_test.cc.
+
+#include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "src/common/check.h"
 #include "src/core/engine.h"
-#include "src/eval/metrics.h"
+#include "src/hist/histogram_query.h"
 
 namespace osdp {
 namespace {
@@ -25,113 +30,47 @@ Policy OptOutSensitive() {
   return Policy::SensitiveWhen(Predicate::Eq("opt_in", Value(0)), "P_opt");
 }
 
-HistogramQuery AgeQuery() {
-  return HistogramQuery{"age", *Domain1D::Numeric(0, 100, 10), std::nullopt};
-}
-
 TEST(EngineTest, CreateValidates) {
   OsdpEngine::Options opts;
-  opts.total_epsilon = 0.0;
-  EXPECT_FALSE(OsdpEngine::Create(MakeData(), OptOutSensitive(), opts).ok());
+  for (double bad : {0.0, -1.0, std::nan(""),
+                     std::numeric_limits<double>::infinity()}) {
+    opts.total_epsilon = bad;
+    const auto engine = OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
+    ASSERT_FALSE(engine.ok()) << bad;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
   opts.total_epsilon = 1.0;
   Table empty(Schema({{"a", ValueType::kInt64}}));
   EXPECT_FALSE(OsdpEngine::Create(std::move(empty), OptOutSensitive(), opts).ok());
+  EXPECT_TRUE(OsdpEngine::Create(MakeData(), OptOutSensitive(), opts).ok());
 }
 
-TEST(EngineTest, SampleReleaseChargesBudget) {
+TEST(EngineTest, RunMechanismIsDeterministicForEveryMechanism) {
+  // Two engines over the same data, each mechanism driven by same-seeded
+  // Rngs: bit-identical releases of the right shape. The engine holds no
+  // noise stream, so the caller's Rng is the only source of randomness.
   OsdpEngine::Options opts;
-  opts.total_epsilon = 1.0;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  Table sample = *engine.ReleaseSample(0.4);
-  EXPECT_GT(sample.num_rows(), 0u);
-  EXPECT_NEAR(engine.remaining_budget(), 0.6, 1e-12);
-  // Only opted-in rows appear.
-  for (size_t r = 0; r < sample.num_rows(); ++r) {
-    EXPECT_EQ(sample.Int64Column(1)[r], 1);
-  }
-}
-
-TEST(EngineTest, BudgetExhaustionRefusesFurtherReleases) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 0.5;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  EXPECT_TRUE(engine.ReleaseSample(0.5).ok());
-  auto refused = engine.ReleaseSample(0.1);
-  EXPECT_EQ(refused.status().code(), StatusCode::kBudgetExhausted);
-  auto refused_hist =
-      engine.AnswerHistogram(AgeQuery(), 0.1, EngineMechanism::kOsdpLaplaceL1);
-  EXPECT_EQ(refused_hist.status().code(), StatusCode::kBudgetExhausted);
-}
-
-TEST(EngineTest, EveryMechanismAnswersHistograms) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 10.0;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
+  const OsdpEngine a = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
+  const OsdpEngine b = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
+  const HistogramQuery query{"age", *Domain1D::Numeric(0, 100, 10),
+                             std::nullopt};
+  const Table& data = a.snapshot()->table;
+  const Histogram x = *ComputeHistogram(data, query);
+  const Histogram xns =
+      *ComputeHistogramMasked(data, query, a.snapshot()->non_sensitive);
   for (EngineMechanism m :
        {EngineMechanism::kLaplace, EngineMechanism::kOsdpLaplace,
         EngineMechanism::kOsdpLaplaceL1, EngineMechanism::kDawa,
-        EngineMechanism::kDawaz}) {
-    auto hist = engine.AnswerHistogram(AgeQuery(), 1.0, m);
-    ASSERT_TRUE(hist.ok()) << EngineMechanismToString(m);
-    EXPECT_EQ(hist->size(), 10u);
+        EngineMechanism::kDawaz, EngineMechanism::kHierarchical}) {
+    Rng rng_a(99);
+    Rng rng_b(99);
+    const auto ha = a.RunMechanism(x, xns, 1.0, m, rng_a);
+    const auto hb = b.RunMechanism(x, xns, 1.0, m, rng_b);
+    ASSERT_TRUE(ha.ok()) << EngineMechanismToString(m);
+    ASSERT_TRUE(hb.ok()) << EngineMechanismToString(m);
+    EXPECT_EQ(ha->size(), 10u) << EngineMechanismToString(m);
+    EXPECT_EQ(ha->counts(), hb->counts()) << EngineMechanismToString(m);
   }
-  EXPECT_NEAR(engine.remaining_budget(), 5.0, 1e-9);
-}
-
-TEST(EngineTest, MalformedQueryDoesNotBurnBudget) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 1.0;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  HistogramQuery bad{"missing_column", Domain1D::Categorical(4), std::nullopt};
-  EXPECT_FALSE(
-      engine.AnswerHistogram(bad, 0.5, EngineMechanism::kLaplace).ok());
-  EXPECT_DOUBLE_EQ(engine.remaining_budget(), 1.0);
-}
-
-TEST(EngineTest, CountQueryIsReasonablyAccurate) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 10.0;
-  Table data = MakeData(20000, 6);
-  // Ground truth: opted-in records with age < 50.
-  double truth = 0.0;
-  for (size_t r = 0; r < data.num_rows(); ++r) {
-    truth += (data.Int64Column(0)[r] < 50 && data.Int64Column(1)[r] == 1) ? 1 : 0;
-  }
-  OsdpEngine engine =
-      *OsdpEngine::Create(std::move(data), OptOutSensitive(), opts);
-  double acc = 0.0;
-  const int reps = 5;
-  for (int i = 0; i < reps; ++i) {
-    acc += *engine.AnswerCount(Predicate::Lt("age", Value(50)), 1.0);
-  }
-  EXPECT_NEAR(acc / reps, truth, truth * 0.01 + 10);
-}
-
-TEST(EngineTest, GuaranteeAccumulatesSequentially) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 2.0;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  EXPECT_FALSE(engine.CurrentGuarantee().ok());  // nothing released yet
-  ASSERT_TRUE(engine.ReleaseSample(0.5).ok());
-  ASSERT_TRUE(engine
-                  .AnswerHistogram(AgeQuery(), 0.7,
-                                   EngineMechanism::kOsdpLaplaceL1)
-                  .ok());
-  ComposedGuarantee g = *engine.CurrentGuarantee();
-  EXPECT_NEAR(g.epsilon, 1.2, 1e-12);
-}
-
-TEST(EngineTest, DeterministicForFixedSeed) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 5.0;
-  opts.seed = 99;
-  OsdpEngine a = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  OsdpEngine b = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  Histogram ha = *a.AnswerHistogram(AgeQuery(), 1.0,
-                                    EngineMechanism::kOsdpLaplaceL1);
-  Histogram hb = *b.AnswerHistogram(AgeQuery(), 1.0,
-                                    EngineMechanism::kOsdpLaplaceL1);
-  EXPECT_EQ(ha.counts(), hb.counts());
 }
 
 }  // namespace

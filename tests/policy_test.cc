@@ -1,6 +1,9 @@
 // Tests for src/policy and src/accounting: policy algebra (Definitions 3.1,
 // 3.5-3.7), composition (Theorems 3.2/3.3/10.2), budgets.
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/common/check.h"
@@ -157,6 +160,20 @@ TEST(BudgetTest, RejectsNonPositiveCharges) {
   PrivacyBudget budget(1.0);
   EXPECT_EQ(budget.Spend(0.0, "zero").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(budget.Spend(-0.5, "neg").code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BudgetTest, RejectsNonFiniteChargesWithoutSpending) {
+  PrivacyBudget budget(1.0);
+  EXPECT_EQ(budget.Spend(std::nan(""), "nan").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(budget.Spend(std::numeric_limits<double>::infinity(), "inf")
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(budget.spent(), 0.0);
+  EXPECT_TRUE(budget.charges().empty());
+  EXPECT_FALSE(IsValidEpsilon(std::nan("")));
+  EXPECT_FALSE(IsValidEpsilon(-std::numeric_limits<double>::infinity()));
+  EXPECT_TRUE(IsValidEpsilon(0.5));
 }
 
 TEST(BudgetTest, SpendFraction) {

@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,11 +21,13 @@
 #include "src/benchdata/table_gen.h"
 #include "src/common/cancel.h"
 #include "src/common/distributions.h"
+#include "src/common/fault.h"
 #include "src/common/random.h"
 #include "src/core/engine.h"
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
+#include "src/mech/osdp_rr.h"
 #include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
@@ -107,11 +111,11 @@ TEST(QueryServiceTest, CountMatchesNoiselessTruthWithinNoiseBound) {
   QueryService::Options opts;
   opts.pool = &pool;
   auto engine = TestEngine(1000.0);
-  const Table& data = engine.data();
+  const Table& data = engine.snapshot()->table;
   const CompiledPredicate compiled = *CompiledPredicate::Compile(
       Predicate::Le("age", Value(40)), data.schema());
   RowMask truth = compiled.EvalMask(data);
-  truth.AndWith(engine.non_sensitive_mask());
+  truth.AndWith(engine.snapshot()->non_sensitive);
   const double true_count = static_cast<double>(truth.Count());
 
   opts.per_session_epsilon = 600.0;
@@ -327,7 +331,7 @@ TEST(QueryServiceStreamingTest, IngestPublishesGenerationsAndIsolatesQueries) {
   opts.per_session_epsilon = 5000.0;
   auto engine = TestEngine(10000.0, 200);
   const Policy policy = TestPolicy();
-  Table accumulated = engine.data();
+  Table accumulated = engine.snapshot()->table;
   auto service = *QueryService::Create(std::move(engine), opts);
   const auto session = service->OpenSession("alice");
   EXPECT_EQ(service->current_generation(), 0u);
@@ -902,8 +906,13 @@ TEST(QueryServiceTest, CloseSessionDuringInFlightBatch) {
   std::vector<Result<ServiceAnswer>> results;
   std::thread analyst(
       [&] { results = service->AnswerBatch(session, batch); });
-  std::this_thread::sleep_for(std::chrono::microseconds(300));
-  // Lands before, during, or after the batch — all must be safe.
+  // Close only once the batch has captured its session (its first
+  // reservation is visible): the close then lands during or after the
+  // batch, never before submission — which would refuse the whole batch
+  // with NotFound and is not what this test is about.
+  while (*service->session_remaining(session) == opts.per_session_epsilon) {
+    std::this_thread::yield();
+  }
   EXPECT_TRUE(service->CloseSession(session).ok());
   analyst.join();
 
@@ -920,6 +929,252 @@ TEST(QueryServiceTest, CloseSessionDuringInFlightBatch) {
   EXPECT_FALSE(service->session_remaining(session).ok());
   const auto after = service->AnswerCount(session, Predicate::True(), kEps);
   EXPECT_EQ(after.status().code(), StatusCode::kNotFound);
+}
+
+
+// ------------------------------------------------------- non-finite ε ---
+
+constexpr EngineMechanism kAllMechanisms[] = {
+    EngineMechanism::kLaplace,       EngineMechanism::kOsdpLaplace,
+    EngineMechanism::kOsdpLaplaceL1, EngineMechanism::kDawa,
+    EngineMechanism::kDawaz,         EngineMechanism::kHierarchical};
+
+TEST(QueryServiceTest, NonFiniteEpsilonIsRejectedWithoutCharging) {
+  // NaN passes an `epsilon <= 0` test; it must still be refused at
+  // validation — before it can poison either budget or reach a mechanism.
+  auto service = *QueryService::Create(TestEngine(10.0), {});
+  const auto session = service->OpenSession("alice");
+  const double before_service = service->remaining_budget();
+  const double before_session = *service->session_remaining(session);
+  const HistogramQuery age{"age", *Domain1D::Numeric(0, 100, 16),
+                           std::nullopt};
+  for (double eps : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    std::vector<ServiceRequest> batch;
+    batch.emplace_back(CountRequest{Predicate::True(), eps});
+    for (EngineMechanism m : kAllMechanisms) {
+      batch.emplace_back(HistogramRequest{age, eps, m});
+    }
+    batch.emplace_back(SampleRequest{eps});
+    for (const auto& r : service->AnswerBatch(session, batch)) {
+      ASSERT_FALSE(r.ok()) << eps;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << eps;
+    }
+  }
+  EXPECT_EQ(service->remaining_budget(), before_service);
+  EXPECT_EQ(*service->session_remaining(session), before_session);
+  EXPECT_EQ(service->ledger().size(), 0u);
+}
+
+TEST(QueryServiceTest, NonFiniteBudgetFailsCreate) {
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    OsdpEngine::Options eopts;
+    eopts.total_epsilon = bad;
+    CensusTableOptions topts;
+    topts.num_rows = 100;
+    const auto engine =
+        OsdpEngine::Create(MakeCensusTable(topts), TestPolicy(), eopts);
+    ASSERT_FALSE(engine.ok()) << bad;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << bad;
+
+    QueryService::Options sopts;
+    sopts.per_session_epsilon = bad;
+    const auto service = QueryService::Create(TestEngine(1.0), sopts);
+    ASSERT_FALSE(service.ok()) << bad;
+    EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+// --------------------------------- one-session releases: OsdpRR samples ---
+
+// A small opt-in dataset: age uniform in [0, 100), opt_in = 1 with
+// probability 0.8; opted-out rows are sensitive.
+Table OptInData(int n = 4000, uint64_t seed = 5) {
+  Table t(Schema({{"age", ValueType::kInt64}, {"opt_in", ValueType::kInt64}}));
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(
+        t.AppendRow({Value(static_cast<int64_t>(rng.NextBounded(100))),
+                     Value(static_cast<int64_t>(rng.NextBernoulli(0.8) ? 1 : 0))})
+            .ok());
+  }
+  return t;
+}
+
+Policy OptOutSensitive() {
+  return Policy::SensitiveWhen(Predicate::Eq("opt_in", Value(0)), "P_opt");
+}
+
+HistogramQuery AgeQuery() {
+  return HistogramQuery{"age", *Domain1D::Numeric(0, 100, 10), std::nullopt};
+}
+
+// A service over `data` whose one analyst session may spend the dataset's
+// whole lifetime budget.
+std::unique_ptr<QueryService> OneSessionService(double total_epsilon,
+                                                Table data = OptInData()) {
+  OsdpEngine::Options eopts;
+  eopts.total_epsilon = total_epsilon;
+  QueryService::Options sopts;
+  sopts.per_session_epsilon = total_epsilon;
+  return *QueryService::Create(
+      *OsdpEngine::Create(std::move(data), OptOutSensitive(), eopts), sopts);
+}
+
+TEST(QueryServiceSampleTest, SampleChargesBothBudgetsAndHoldsOnlyOptedInRows) {
+  auto service = OneSessionService(1.0);
+  const auto session = service->OpenSession("alice");
+  const ServiceAnswer answer = *service->AnswerSample(session, 0.4);
+  ASSERT_TRUE(answer.sample.has_value());
+  EXPECT_FALSE(answer.histogram.has_value());
+  const Table& sample = *answer.sample;
+  EXPECT_GT(sample.num_rows(), 0u);
+  for (size_t r = 0; r < sample.num_rows(); ++r) {
+    EXPECT_EQ(sample.Int64Column(1)[r], 1);
+  }
+  EXPECT_NEAR(service->remaining_budget(), 0.6, 1e-12);
+  EXPECT_NEAR(*service->session_remaining(session), 0.6, 1e-12);
+  const auto entries = service->ledger().entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].epsilon, 0.4);
+  EXPECT_EQ(entries[0].generation, 0u);
+}
+
+TEST(QueryServiceSampleTest, SampleReplaysRowForRowUnderQuerySeed) {
+  // Ingest one batch first so the replay key's generation is not trivially
+  // zero, then interleave samples with a count so their seqs are not
+  // consecutive batch slots.
+  auto service = OneSessionService(5.0);
+  ASSERT_EQ(*service->Ingest(OptInData(700, 6)), 1u);
+  const auto session = service->OpenSession("alice");
+  std::vector<ServiceRequest> batch;
+  batch.emplace_back(SampleRequest{0.3});
+  batch.emplace_back(CountRequest{Predicate::Lt("age", Value(50)), 0.3});
+  batch.emplace_back(SampleRequest{0.6});
+  const auto results = service->AnswerBatch(session, batch);
+
+  const SnapshotPtr snap = service->current_snapshot();
+  for (size_t i : {0u, 2u}) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    const ServiceAnswer& answer = *results[i];
+    ASSERT_EQ(answer.generation, snap->generation);
+    Rng rng(QueryService::QuerySeed(QueryService::Options{}.seed, session,
+                                    answer.seq, answer.generation));
+    const Table expected =
+        *OsdpRRRelease(snap->table, OptOutSensitive(),
+                       std::get<SampleRequest>(batch[i]).epsilon, rng);
+    ASSERT_EQ(answer.sample->num_rows(), expected.num_rows()) << "slot " << i;
+    for (size_t r = 0; r < expected.num_rows(); ++r) {
+      ASSERT_EQ(answer.sample->GetRow(r), expected.GetRow(r))
+          << "slot " << i << " row " << r;
+    }
+  }
+  for (const auto& entry : service->ledger().entries()) {
+    EXPECT_EQ(entry.generation, 1u);
+  }
+  EXPECT_EQ(service->ledger().size(), 3u);
+}
+
+TEST(QueryServiceSampleTest, FailedSampleRefundsInFull) {
+  auto service = OneSessionService(1.0);
+  const auto session = service->OpenSession("alice");
+  auto expect_books_untouched = [&] {
+    EXPECT_EQ(service->remaining_budget(), 1.0);
+    EXPECT_EQ(*service->session_remaining(session), 1.0);
+    EXPECT_EQ(service->ledger().size(), 0u);
+  };
+
+  SampleRequest late{0.4};
+  late.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
+  std::vector<ServiceRequest> batch;
+  batch.emplace_back(late);
+  EXPECT_EQ(service->AnswerBatch(session, batch)[0].status().code(),
+            StatusCode::kDeadlineExceeded);
+  expect_books_untouched();
+
+  CancelToken token;
+  token.Cancel();
+  QueryService::BatchControl control;
+  control.cancel = token;
+  batch[0] = SampleRequest{0.4};
+  EXPECT_EQ(service->AnswerBatch(session, batch, control)[0].status().code(),
+            StatusCode::kCancelled);
+  expect_books_untouched();
+
+  {
+    ScopedFault fault("mechanism/run", {1, 0, 1});
+    EXPECT_EQ(service->AnswerSample(session, 0.4).status().code(),
+              StatusCode::kInternal);
+  }
+  expect_books_untouched();
+}
+
+TEST(QueryServiceSampleTest, ExhaustedBudgetRefusesSamplesAndHistograms) {
+  auto service = OneSessionService(0.5);
+  const auto session = service->OpenSession("alice");
+  EXPECT_TRUE(service->AnswerSample(session, 0.5).ok());
+  EXPECT_EQ(service->AnswerSample(session, 0.1).status().code(),
+            StatusCode::kBudgetExhausted);
+  EXPECT_EQ(service
+                ->AnswerHistogram(session, AgeQuery(), 0.1,
+                                  EngineMechanism::kOsdpLaplaceL1)
+                .status()
+                .code(),
+            StatusCode::kBudgetExhausted);
+  EXPECT_EQ(service->ledger().size(), 1u);
+}
+
+TEST(QueryServiceSampleTest, EveryMechanismAnswersHistograms) {
+  auto service = OneSessionService(10.0);
+  const auto session = service->OpenSession("alice");
+  for (EngineMechanism m : kAllMechanisms) {
+    const auto answer = service->AnswerHistogram(session, AgeQuery(), 1.0, m);
+    ASSERT_TRUE(answer.ok()) << EngineMechanismToString(m);
+    EXPECT_EQ(answer->histogram->size(), 10u);
+  }
+  EXPECT_NEAR(service->remaining_budget(), 4.0, 1e-9);
+}
+
+TEST(QueryServiceSampleTest, MalformedHistogramBurnsNothing) {
+  auto service = OneSessionService(1.0);
+  const auto session = service->OpenSession("alice");
+  const HistogramQuery bad{"missing_column", Domain1D::Categorical(4),
+                           std::nullopt};
+  EXPECT_FALSE(
+      service->AnswerHistogram(session, bad, 0.5, EngineMechanism::kLaplace)
+          .ok());
+  EXPECT_EQ(service->remaining_budget(), 1.0);
+  EXPECT_EQ(*service->session_remaining(session), 1.0);
+}
+
+TEST(QueryServiceSampleTest, CountIsReasonablyAccurate) {
+  Table data = OptInData(20000, 6);
+  // Ground truth: opted-in records with age < 50.
+  double truth = 0.0;
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    truth += (data.Int64Column(0)[r] < 50 && data.Int64Column(1)[r] == 1);
+  }
+  auto service = OneSessionService(10.0, std::move(data));
+  const auto session = service->OpenSession("alice");
+  double acc = 0.0;
+  const int reps = 5;
+  for (int i = 0; i < reps; ++i) {
+    acc += service->AnswerCount(session, Predicate::Lt("age", Value(50)), 1.0)
+               ->count;
+  }
+  EXPECT_NEAR(acc / reps, truth, truth * 0.01 + 10);
+}
+
+TEST(QueryServiceSampleTest, GuaranteeComposesSampleAndHistogram) {
+  auto service = OneSessionService(2.0);
+  const auto session = service->OpenSession("alice");
+  EXPECT_FALSE(service->CurrentGuarantee().ok());  // nothing released yet
+  ASSERT_TRUE(service->AnswerSample(session, 0.5).ok());
+  ASSERT_TRUE(service
+                  ->AnswerHistogram(session, AgeQuery(), 0.7,
+                                    EngineMechanism::kOsdpLaplaceL1)
+                  .ok());
+  EXPECT_NEAR(service->CurrentGuarantee()->epsilon, 1.2, 1e-12);
 }
 
 }  // namespace
