@@ -1,23 +1,24 @@
 // Benchmark of the parallel mechanism stage: seconds per interval-cost
-// engine build (serial reference vs per-level sharded on the ThreadPool),
-// per end-to-end partition solve (build + DP), and per hierarchical release
-// (serial vs level-synchronous consistency passes), across domain sizes and
-// a thread grid. Every parallel cell is cross-checked bit-identical against
-// its serial reference — the full deviation table for the engine, cost and
-// buckets for the solve, every leaf estimate for the hierarchical release —
-// and the bench exits non-zero on any divergence, making it a determinism
-// gate as well as a profile.
+// engine build (serial reference vs per-level sharded on the ThreadPool) and
+// per end-to-end partition solve (build + DP), across domain sizes and a
+// thread grid. Every pooled cell is cross-checked bit-identical against its
+// serial reference — the full deviation table for the engine, cost and
+// buckets for the solve — and the bench exits non-zero on any divergence,
+// making it a determinism gate as well as a profile.
 //
-// It also answers ROADMAP's standing question — does the partition build
-// dominate large-domain histogram batches? — by reporting the build's share
-// of the end-to-end solve per domain.
+// The thread axis counts executing threads: a pool of w workers runs
+// ParallelForBlocked on w + 1 threads, because the caller drains chunks too.
+// The engine build's share of a solve is not derived here from separately
+// timed runs; perfbench reports it as mech.dawa_build_share, the median
+// ratio over build/solve pairs timed back to back.
 //
 // Knobs:
 //   OSDP_BENCH_MAX_D    caps the domain grid (default 262144 = 2^18;
 //                       set 4096 for a CI smoke run)
-//   OSDP_BENCH_THREADS  comma-separated worker grid (default "1,2,4";
-//                       0 = inline pool, distinct from the no-pool serial
-//                       reference labeled threads=-1 in the JSON)
+//   OSDP_BENCH_THREADS  comma-separated grid of executing threads, each
+//                       >= 1 (default "1,2,4"; 1 = the inline pool, distinct
+//                       from the no-pool serial reference, which the JSON
+//                       marks "pooled": false)
 //   OSDP_BENCH_REPS     repetitions per cell (best-of; default scales with d)
 //   OSDP_BENCH_JSON     output path (default BENCH_mech_parallel.json)
 
@@ -33,9 +34,7 @@
 #include "src/common/env.h"
 #include "src/common/random.h"
 #include "src/eval/table_printer.h"
-#include "src/hist/histogram.h"
 #include "src/mech/dawa.h"
-#include "src/mech/hierarchical.h"
 #include "src/mech/interval_costs.h"
 #include "src/runtime/thread_pool.h"
 
@@ -63,9 +62,10 @@ std::vector<double> SpikyData(size_t d, uint64_t seed) {
 }
 
 struct Measurement {
-  std::string op;  // engine_build | dawa_solve | hier_release
+  std::string op;  // engine_build | dawa_solve
   size_t d;
-  long long threads;  // -1 = serial reference (no pool)
+  long long exec_threads;  // pool workers + the caller; 1 for the reference
+  bool pooled;             // false = serial reference (no pool)
   double sec;
 };
 
@@ -80,7 +80,7 @@ std::vector<long long> ParseThreadGrid(const char* env) {
     const std::string tok =
         s.substr(pos, comma == std::string::npos ? s.npos : comma - pos);
     long long v = 0;
-    if (!ParseInt64Strict(tok.c_str(), &v) || v < 0) return fallback;
+    if (!ParseInt64Strict(tok.c_str(), &v) || v < 1) return fallback;
     out.push_back(v);
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -131,7 +131,7 @@ int main() {
 
   std::vector<std::unique_ptr<ThreadPool>> pools;
   for (long long t : thread_grid) {
-    pools.push_back(std::make_unique<ThreadPool>(static_cast<size_t>(t)));
+    pools.push_back(std::make_unique<ThreadPool>(static_cast<size_t>(t - 1)));
   }
 
   const double bucket_charge = 8.0;
@@ -154,7 +154,7 @@ int main() {
       serial_engine = std::make_unique<IntervalCostEngine>(x);
       serial_build = std::min(serial_build, NowSec() - t0);
     }
-    results.push_back({"engine_build", d, -1, serial_build});
+    results.push_back({"engine_build", d, 1, false, serial_build});
     for (size_t p = 0; p < pools.size(); ++p) {
       double best = 1e300;
       std::unique_ptr<IntervalCostEngine> parallel_engine;
@@ -163,10 +163,11 @@ int main() {
         parallel_engine = std::make_unique<IntervalCostEngine>(x, pools[p].get());
         best = std::min(best, NowSec() - t0);
       }
-      results.push_back({"engine_build", d, thread_grid[p], best});
+      results.push_back({"engine_build", d, thread_grid[p], true, best});
       if (!EnginesIdentical(*serial_engine, *parallel_engine, d)) {
-        std::printf("MISMATCH: engine build diverged at d=%zu threads=%lld\n",
-                    d, thread_grid[p]);
+        std::printf(
+            "MISMATCH: engine build diverged at d=%zu exec_threads=%lld\n",
+            d, thread_grid[p]);
         all_identical = false;
       }
     }
@@ -181,7 +182,7 @@ int main() {
                                          DawaCostImpl::kEngine);
       serial_solve = std::min(serial_solve, NowSec() - t0);
     }
-    results.push_back({"dawa_solve", d, -1, serial_solve});
+    results.push_back({"dawa_solve", d, 1, false, serial_solve});
     for (size_t p = 0; p < pools.size(); ++p) {
       double best = 1e300;
       L1PartitionSolution parallel_solution;
@@ -192,79 +193,31 @@ int main() {
                              DawaCostImpl::kEngine, pools[p].get());
         best = std::min(best, NowSec() - t0);
       }
-      results.push_back({"dawa_solve", d, thread_grid[p], best});
+      results.push_back({"dawa_solve", d, thread_grid[p], true, best});
       if (!SolutionsIdentical(serial_solution, parallel_solution)) {
-        std::printf("MISMATCH: partition solve diverged at d=%zu threads=%lld\n",
-                    d, thread_grid[p]);
+        std::printf(
+            "MISMATCH: partition solve diverged at d=%zu exec_threads=%lld\n",
+            d, thread_grid[p]);
         all_identical = false;
       }
     }
-
-    // --- hierarchical release: same seed, so the noise draws are identical
-    // and any difference is the consistency passes. ---
-    Histogram hx{std::vector<double>(x)};
-    HierarchicalOptions hopts;
-    double serial_hier = 1e300;
-    Histogram serial_estimate(d);
-    for (int rep = 0; rep < reps; ++rep) {
-      Rng rng(0x41E5 + d);
-      const double t0 = NowSec();
-      auto r = HierarchicalRelease(hx, 0.5, hopts, rng);
-      serial_hier = std::min(serial_hier, NowSec() - t0);
-      serial_estimate = std::move(r->estimate);
-    }
-    results.push_back({"hier_release", d, -1, serial_hier});
-    for (size_t p = 0; p < pools.size(); ++p) {
-      HierarchicalOptions popts;
-      popts.pool = pools[p].get();
-      double best = 1e300;
-      Histogram parallel_estimate(d);
-      for (int rep = 0; rep < reps; ++rep) {
-        Rng rng(0x41E5 + d);
-        const double t0 = NowSec();
-        auto r = HierarchicalRelease(hx, 0.5, popts, rng);
-        best = std::min(best, NowSec() - t0);
-        parallel_estimate = std::move(r->estimate);
-      }
-      results.push_back({"hier_release", d, thread_grid[p], best});
-      bool identical = true;
-      for (size_t i = 0; identical && i < d; ++i) {
-        identical = serial_estimate[i] == parallel_estimate[i];
-      }
-      if (!identical) {
-        std::printf("MISMATCH: hierarchical diverged at d=%zu threads=%lld\n",
-                    d, thread_grid[p]);
-        all_identical = false;
-      }
-    }
-
-    // ROADMAP's profiling question: the engine build's share of the solve.
-    std::printf("d=%-7zu build %.4fs  solve %.4fs  (build share %.0f%%)  "
-                "hier %.4fs\n",
-                d, serial_build, serial_solve,
-                100.0 * serial_build / serial_solve, serial_hier);
   }
 
-  // Summary table: serial vs best pooled time per op × d.
-  auto find = [&](const char* op, size_t d, long long threads) -> double {
+  // Summary table: every pooled cell against its serial reference.
+  auto serial_sec = [&](const std::string& op, size_t d) -> double {
     for (const Measurement& m : results) {
-      if (m.op == op && m.d == d && m.threads == threads) return m.sec;
+      if (!m.pooled && m.op == op && m.d == d) return m.sec;
     }
     return 0.0;
   };
-  TextTable text({"op", "d", "serial s", "pooled s (best)", "speedup"});
-  for (const char* op : {"engine_build", "dawa_solve", "hier_release"}) {
-    for (size_t d : domains) {
-      const double ts = find(op, d, -1);
-      double tp = 1e300;
-      for (long long t : thread_grid) {
-        const double v = find(op, d, t);
-        if (v > 0) tp = std::min(tp, v);
-      }
-      if (ts <= 0 || tp >= 1e300) continue;
-      text.AddRow({op, std::to_string(d), TextTable::Fmt(ts, 4),
-                   TextTable::Fmt(tp, 4), TextTable::Fmt(ts / tp, 1) + "x"});
-    }
+  TextTable text({"op", "d", "exec threads (workers + caller)", "serial s",
+                  "pooled s", "speedup"});
+  for (const Measurement& m : results) {
+    if (!m.pooled) continue;
+    const double ts = serial_sec(m.op, m.d);
+    text.AddRow({m.op, std::to_string(m.d), std::to_string(m.exec_threads),
+                 TextTable::Fmt(ts, 4), TextTable::Fmt(m.sec, 4),
+                 TextTable::Fmt(ts / m.sec, 2) + "x"});
   }
   std::printf("\n%s\n", text.ToString().c_str());
   std::printf("cross-check: %s\n",
@@ -290,9 +243,10 @@ int main() {
   for (size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     std::fprintf(f,
-                 "    {\"op\": \"%s\", \"d\": %zu, \"threads\": %lld, "
-                 "\"sec\": %.6g}%s\n",
-                 m.op.c_str(), m.d, m.threads, m.sec,
+                 "    {\"op\": \"%s\", \"d\": %zu, \"exec_threads\": %lld, "
+                 "\"pooled\": %s, \"sec\": %.6g}%s\n",
+                 m.op.c_str(), m.d, m.exec_threads,
+                 m.pooled ? "true" : "false", m.sec,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

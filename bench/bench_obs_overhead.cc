@@ -92,7 +92,6 @@ std::unique_ptr<QueryService> MakeService(const Table& table, ThreadPool* pool,
   QueryService::Options sopts;
   sopts.per_session_epsilon = 1e8;
   sopts.pool = pool;
-  sopts.num_shards = 1;
   sopts.mask_cache_bytes = 64ull << 20;
   sopts.metrics_enabled = metrics_enabled;
   return *QueryService::Create(*OsdpEngine::Create(table, BenchPolicy(), eopts),

@@ -241,7 +241,6 @@ int main() {
       QueryService::Options sopts;
       sopts.per_session_epsilon = 1e8;
       sopts.pool = &inline_pool;
-      sopts.num_shards = 1;
       auto serial_service = *QueryService::Create(ServiceEngine(table), sopts);
       std::vector<QueryService::SessionId> serial_sessions;
       for (int s = 0; s < 4; ++s) {
@@ -300,7 +299,6 @@ int main() {
       QueryService::Options sopts;
       sopts.per_session_epsilon = 1e8;
       sopts.pool = &pool;
-      sopts.num_shards = threads;
       auto service = *QueryService::Create(ServiceEngine(table), sopts);
       std::vector<QueryService::SessionId> sessions;
       for (int s = 0; s < 4; ++s) {
@@ -315,7 +313,6 @@ int main() {
         ThreadPool inline_pool(0);
         QueryService::Options ref_opts = sopts;
         ref_opts.pool = &inline_pool;
-        ref_opts.num_shards = 1;
         auto ref_service =
             *QueryService::Create(ServiceEngine(table), ref_opts);
         auto par_service = *QueryService::Create(ServiceEngine(table), sopts);

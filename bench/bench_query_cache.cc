@@ -114,7 +114,6 @@ std::unique_ptr<QueryService> MakeService(const Table& table,
   QueryService::Options sopts;
   sopts.per_session_epsilon = 1e8;
   sopts.pool = pool;
-  sopts.num_shards = 1;
   sopts.mask_cache_bytes = cache_bytes;
   return *QueryService::Create(*OsdpEngine::Create(table, BenchPolicy(), eopts),
                                sopts);

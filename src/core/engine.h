@@ -69,16 +69,15 @@ class OsdpEngine {
   /// The engine configuration.
   const Options& options() const { return options_; }
 
-  /// \brief Routes the deterministic post-processing stages of every
-  /// mechanism — the DAWA interval-cost engine build (also inside DAWAz) and
-  /// the hierarchical consistency passes — onto `pool` (nullptr = serial).
-  /// Answers stay bit-identical at any thread count: noise sampling never
-  /// moves off the caller's Rng, so the QuerySeed replay contract holds and
-  /// a serial replay engine reproduces pooled answers exactly.
+  /// \brief Routes the DAWA interval-cost engine build (also inside DAWAz)
+  /// onto `pool` (nullptr = serial), the one mechanism stage whose sharding
+  /// shows a measured win. Answers stay bit-identical at any thread count:
+  /// noise sampling never moves off the caller's Rng, so the QuerySeed
+  /// replay contract holds and a serial replay engine reproduces pooled
+  /// answers exactly.
   void set_mech_pool(ThreadPool* pool) {
     options_.dawa.pool = pool;
     options_.dawaz.dawa.pool = pool;
-    options_.hierarchical.pool = pool;
   }
 
   /// The active policy.

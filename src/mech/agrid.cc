@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/accounting/budget.h"
 #include "src/common/distributions.h"
 
 namespace osdp {
@@ -43,8 +44,8 @@ double CellTrueCount(const Histogram& x, size_t cols, const Cell& cell) {
 
 Result<TwoPhaseMechanism::Output> AGrid(const Histogram& x, double epsilon,
                                         const AGridOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   if (opts.rows == 0 || opts.cols == 0 ||
       x.size() != opts.rows * opts.cols) {

@@ -4,14 +4,15 @@
 #include <cmath>
 #include <numeric>
 
+#include "src/accounting/budget.h"
 #include "src/common/distributions.h"
 
 namespace osdp {
 
 Result<TwoPhaseMechanism::Output> Ahp(const Histogram& x, double epsilon,
                                       const AhpOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   if (opts.structure_budget_ratio <= 0.0 || opts.structure_budget_ratio >= 1.0) {
     return Status::InvalidArgument("structure_budget_ratio must be in (0,1)");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/accounting/budget.h"
 #include "src/common/check.h"
 #include "src/common/distributions.h"
 #include "src/mech/interval_costs.h"
@@ -141,8 +142,8 @@ std::vector<DawaBucket> OptimalL1Partition(const std::vector<double>& x,
 
 Result<DawaResult> Dawa(const Histogram& x, double epsilon,
                         const DawaOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   if (opts.partition_budget_ratio <= 0.0 || opts.partition_budget_ratio >= 1.0) {
     return Status::InvalidArgument("partition_budget_ratio must be in (0,1)");

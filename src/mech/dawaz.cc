@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/accounting/budget.h"
 #include "src/mech/osdp_laplace.h"
 #include "src/mech/osdp_rr.h"
 
@@ -9,8 +10,8 @@ namespace osdp {
 
 Result<Histogram> Dawaz(const Histogram& x, const Histogram& xns,
                         double epsilon, const DawazOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   if (opts.zero_budget_ratio <= 0.0 || opts.zero_budget_ratio >= 1.0) {
     return Status::InvalidArgument("zero_budget_ratio must be in (0,1)");

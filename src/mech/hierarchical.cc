@@ -4,9 +4,9 @@
 #include <cmath>
 #include <vector>
 
+#include "src/accounting/budget.h"
 #include "src/common/check.h"
 #include "src/common/distributions.h"
-#include "src/runtime/thread_pool.h"
 
 namespace osdp {
 
@@ -52,34 +52,13 @@ int TreeHeight(const std::vector<Node>& arena) {
   return height;
 }
 
-// Level boundaries of the breadth-first arena: level l occupies
-// [offsets[l], offsets[l+1]). BFS construction appends every level's children
-// contiguously, which is what makes the consistency passes level-
-// synchronously shardable with disjoint writes.
-std::vector<size_t> LevelOffsets(const std::vector<Node>& arena) {
-  std::vector<size_t> offsets{0, 1};
-  while (offsets.back() < arena.size()) {
-    size_t children = 0;
-    for (size_t i = offsets[offsets.size() - 2]; i < offsets.back(); ++i) {
-      children += arena[i].children.size();
-    }
-    OSDP_CHECK(children > 0);  // BFS fills the arena level by level
-    offsets.push_back(offsets.back() + children);
-  }
-  return offsets;
-}
-
-// Nodes per ParallelForBlocked chunk in the sharded passes; small levels
-// near the root degenerate to a single (caller-run) chunk.
-constexpr size_t kNodeChunk = 256;
-
 }  // namespace
 
 Result<TwoPhaseMechanism::Output> HierarchicalRelease(
     const Histogram& x, double epsilon, const HierarchicalOptions& opts,
     Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   if (opts.fanout < 2) {
     return Status::InvalidArgument("fanout must be at least 2");
@@ -100,21 +79,19 @@ Result<TwoPhaseMechanism::Output> HierarchicalRelease(
     node.noisy = truth + SampleLaplace(rng, scale);
   }
 
-  // Upward pass (children before parents). For a node with k children whose
-  // subtree estimates are already variance-optimal, the standard Hay et al.
-  // weights are (k^l - k^{l-1})/(k^l - 1) on the node's own noisy count with
-  // l the subtree height; we use the equivalent recursive form with
-  // per-node effective variances. Each node writes only its own estimate and
-  // variance slot, and its child sums run in fixed (arena) child order, so
-  // the per-node arithmetic is identical however nodes of one level are
-  // scheduled.
-  std::vector<double> variance(arena.size(), scale * scale * 2.0);
+  // Upward pass: children before parents, i.e. reverse arena order (the
+  // arena is built breadth-first). For a node with k children whose subtree
+  // estimates are already variance-optimal, the standard Hay et al. weights
+  // are (k^l - k^{l-1})/(k^l - 1) on the node's own noisy count with l the
+  // subtree height; we use the equivalent recursive form with per-node
+  // effective variances.
   const double own_var = scale * scale * 2.0;
-  const auto upward_node = [&](size_t idx) {
+  std::vector<double> variance(arena.size(), own_var);
+  for (size_t idx = arena.size(); idx-- > 0;) {
     Node& node = arena[idx];
     if (node.children.empty()) {
       node.estimate = node.noisy;
-      return;
+      continue;
     }
     double child_sum = 0.0;
     double child_var = 0.0;
@@ -126,18 +103,16 @@ Result<TwoPhaseMechanism::Output> HierarchicalRelease(
     const double w = child_var / (own_var + child_var);
     node.estimate = w * node.noisy + (1.0 - w) * child_sum;
     variance[idx] = own_var * child_var / (own_var + child_var);
-  };
+  }
 
-  // Downward pass: distribute each node's residual across its children.
-  // The GLS projection onto Σ children = parent corrects each child
-  // proportionally to its subtree variance (noisier children absorb more of
-  // the discrepancy); with equal child variances — every balanced tree —
-  // this reduces to the equal split, which is kept as a reference option.
-  // A node writes only its own children's estimates (disjoint across the
-  // nodes of one level), so the same scheduling argument applies.
-  const auto downward_node = [&](size_t idx) {
-    Node& node = arena[idx];
-    if (node.children.empty()) return;
+  // Downward pass, root to leaves: distribute each node's residual across
+  // its children. The GLS projection onto Σ children = parent corrects each
+  // child proportionally to its subtree variance (noisier children absorb
+  // more of the discrepancy); with equal child variances — every balanced
+  // tree — this reduces to the equal split, which is kept as a reference
+  // option.
+  for (Node& node : arena) {
+    if (node.children.empty()) continue;
     double child_sum = 0.0;
     double var_sum = 0.0;
     for (size_t c : node.children) {
@@ -154,35 +129,6 @@ Result<TwoPhaseMechanism::Output> HierarchicalRelease(
       const double share =
           residual / static_cast<double>(node.children.size());
       for (size_t c : node.children) arena[c].estimate += share;
-    }
-  };
-
-  if (opts.pool == nullptr) {
-    // Serial reference: children before parents = reverse arena order (the
-    // arena is built breadth-first), then root to leaves.
-    for (size_t idx = arena.size(); idx-- > 0;) upward_node(idx);
-    for (size_t idx = 0; idx < arena.size(); ++idx) downward_node(idx);
-  } else {
-    // Level-synchronous sharding: a level's nodes depend only on levels
-    // already finished (children below for the upward pass, parents above
-    // for the downward pass), and ParallelForBlocked is a barrier, so the
-    // per-node work and its inputs match the serial reference exactly —
-    // bit-identical estimates at any thread count.
-    const std::vector<size_t> offsets = LevelOffsets(arena);
-    const size_t num_levels = offsets.size() - 1;
-    for (size_t l = num_levels; l-- > 0;) {
-      opts.pool->ParallelForBlocked(
-          offsets[l], offsets[l + 1], kNodeChunk,
-          [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) upward_node(i);
-          });
-    }
-    for (size_t l = 0; l < num_levels; ++l) {
-      opts.pool->ParallelForBlocked(
-          offsets[l], offsets[l + 1], kNodeChunk,
-          [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) downward_node(i);
-          });
     }
   }
 

@@ -33,8 +33,6 @@
 
 namespace osdp {
 
-class ThreadPool;
-
 /// How the downward consistency pass splits a node's residual.
 enum class ResidualSplit {
   kVarianceWeighted = 0,  ///< proportional to child subtree variance (optimal)
@@ -49,12 +47,6 @@ struct HierarchicalOptions {
   /// perfectly balanced trees; kVarianceWeighted is strictly better when the
   /// domain size is not a power of the fanout.
   ResidualSplit residual_split = ResidualSplit::kVarianceWeighted;
-  /// Pool for the deterministic consistency passes, sharded level-
-  /// synchronously (nullptr = the serial reference). Noise sampling stays
-  /// serial regardless — RNG draw order is part of the QuerySeed replay
-  /// contract — and per-node sums run in fixed child order, so estimates are
-  /// bit-identical at any thread count.
-  ThreadPool* pool = nullptr;
 };
 
 /// \brief Runs the hierarchical mechanism on `x` under ε-DP. The exposed

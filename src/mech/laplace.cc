@@ -1,5 +1,6 @@
 #include "src/mech/laplace.h"
 
+#include "src/accounting/budget.h"
 #include "src/common/distributions.h"
 
 namespace osdp {
@@ -11,8 +12,8 @@ double LaplaceMechanismScalar(double value, double epsilon,
 
 Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
                                    const LaplaceOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   if (opts.sensitivity <= 0.0) {
     return Status::InvalidArgument("sensitivity must be positive");

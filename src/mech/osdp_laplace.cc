@@ -2,13 +2,14 @@
 
 #include <cmath>
 
+#include "src/accounting/budget.h"
 #include "src/common/distributions.h"
 
 namespace osdp {
 
 Result<Histogram> OsdpLaplace(const Histogram& xns, double epsilon, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   OSDP_RETURN_IF_ERROR(xns.ValidateNonNegative());
   const double scale = 1.0 / epsilon;
@@ -42,8 +43,8 @@ Result<Histogram> OsdpLaplaceL1Hybrid(const Histogram& x, const Histogram& xns,
     return Status::InvalidArgument(
         "x, xns, and bin_is_sensitive must have equal size");
   }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   OSDP_RETURN_IF_ERROR(x.ValidateNonNegative());
   OSDP_RETURN_IF_ERROR(xns.ValidateNonNegative());

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/accounting/budget.h"
 #include "src/common/distributions.h"
 
 namespace osdp {
@@ -13,8 +14,8 @@ double OsdpRRReleaseProbability(double epsilon) {
 Result<std::vector<size_t>> OsdpRRSelect(const Table& table,
                                          const Policy& policy, double epsilon,
                                          Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   const double p = OsdpRRReleaseProbability(epsilon);
   // Batch-classify once, then draw one Bernoulli per non-sensitive row —
@@ -44,8 +45,8 @@ Result<TableView> OsdpRRReleaseView(const Table& table, const Policy& policy,
 
 Result<Histogram> OsdpRRHistogram(const Histogram& xns, double epsilon,
                                   Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   OSDP_RETURN_IF_ERROR(xns.ValidateNonNegative());
   const double p = OsdpRRReleaseProbability(epsilon);

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/accounting/budget.h"
 #include "src/mech/ahp.h"
 #include "src/mech/hierarchical.h"
 #include "src/mech/osdp_laplace.h"
@@ -14,8 +15,8 @@ Result<Histogram> ApplyOsdpRecipe(const TwoPhaseMechanism& base,
                                   const Histogram& x, const Histogram& xns,
                                   double epsilon, const RecipeOptions& opts,
                                   Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   if (opts.zero_budget_ratio <= 0.0 || opts.zero_budget_ratio >= 1.0) {
     return Status::InvalidArgument("zero_budget_ratio must be in (0,1)");

@@ -61,7 +61,7 @@ RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
 size_t ParallelCount(const RowMask& mask, const ParallelScanOptions& opts) {
   ThreadPool& pool = PoolOf(opts);
   const std::vector<size_t> edges =
-      WordAlignedShards(mask.size(), ShardsOf(opts, pool));
+      AlignedShards(mask.size(), ShardsOf(opts, pool), 64);
   const size_t shards = edges.size() - 1;
   std::vector<size_t> partial(shards, 0);
   const uint64_t* words = mask.words();

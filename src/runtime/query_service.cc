@@ -118,15 +118,14 @@ QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
       traces_(options.trace_ring_capacity),
       m_(ResolveMetrics(&metrics_)),
       service_budget_(engine_.options().total_epsilon),
-      mask_cache_(MaskCache::Options{options.mask_cache_bytes,
-                                     options.mask_cache_shards, m_.cache_hits,
-                                     m_.cache_misses, m_.cache_evictions}),
+      mask_cache_(MaskCache::Options{
+          options.mask_cache_bytes, MaskCache::Options{}.num_shards,
+          m_.cache_hits, m_.cache_misses, m_.cache_evictions}),
       store_(engine_.snapshot()),
       builder_(std::move(builder)) {
-  // Route the mechanisms' deterministic stages (interval-cost engine build,
-  // hierarchical consistency passes) onto the service pool. Noise stays on
-  // each query's own Rng, so serial replay engines — which keep the default
-  // null pool — still reproduce every answer bit-for-bit.
+  // Route the DAWA interval-cost engine build onto the service pool. Noise
+  // stays on each query's own Rng, so serial replay engines — which keep the
+  // default null pool — still reproduce every answer bit-for-bit.
   engine_.set_mech_pool(options_.pool != nullptr ? options_.pool
                                                  : &ThreadPool::Default());
   if (metrics_.enabled()) {
@@ -412,7 +411,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
   // query before it costs a single row.
   prepared->control.ThrowIfAborted();
 
-  ParallelScanOptions scan{options_.pool, options_.num_shards};
+  ParallelScanOptions scan{options_.pool};
   if (prepared->control.active()) scan.control = &prepared->control;
   const Snapshot& snap = *prepared->snapshot;
   Rng rng(prepared->seed);

@@ -206,9 +206,8 @@ class QueryService {
     /// Lifetime ε each analyst session may spend.
     double per_session_epsilon = 1.0;
     /// Pool scans and batches run on; nullptr = ThreadPool::Default().
+    /// Scans run one shard per pool worker.
     ThreadPool* pool = nullptr;
-    /// Shards per scan; 0 = one per pool worker.
-    size_t num_shards = 0;
     /// Root seed of the per-query noise streams.
     uint64_t seed = 0x05D9;
     /// Byte budget of the predicate-mask cache (sharded-lock LRU keyed by
@@ -217,8 +216,6 @@ class QueryService {
     /// still charged — and bit-identical to the cold path, so it is on by
     /// default.
     size_t mask_cache_bytes = 64ull << 20;
-    /// Lock shards of the mask cache.
-    size_t mask_cache_shards = 8;
     /// Admission control: maximum AnswerBatch calls executing concurrently;
     /// 0 = unlimited. A batch arriving at the bound is shed whole — every
     /// slot returns ResourceExhausted, nothing is reserved or scanned.

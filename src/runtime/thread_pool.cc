@@ -39,10 +39,8 @@ void ThreadPool::Submit(std::function<void()> task) {
       tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
       const uint64_t t0 = obs::NowNs();
       task();
-      const uint64_t dt = obs::NowNs() - t0;
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      busy_ns_.fetch_add(dt, std::memory_order_relaxed);
-      task_hist_.Record(dt);
+      task_hist_.Record(obs::NowNs() - t0);
     } else {
       task();
     }
@@ -113,9 +111,8 @@ struct LoopState {
 
   // Telemetry hooks, owned by the pool; both null when pool metrics are
   // disabled (the gate is checked once per ParallelForBlocked call, not per
-  // chunk). Busy time is NOT accrued here — helper drains are timed at the
-  // task level by WorkerLoop and the caller's drain by ParallelForBlocked,
-  // so chunk time is never double-counted.
+  // chunk). Busy time is NOT accrued here: WorkerLoop times whole worker
+  // tasks, which already contain any drain a worker runs.
   obs::LatencyHistogram* chunk_hist = nullptr;
   std::atomic<uint64_t>* chunks_executed = nullptr;
 
@@ -185,10 +182,8 @@ void ThreadPool::ParallelForBlocked(
       fn(lo, hi);
       if (metrics) {
         const uint64_t now = obs::NowNs();
-        const uint64_t dt = now - t_prev;
-        chunk_hist_.Record(dt);
+        chunk_hist_.Record(now - t_prev);
         chunks_executed_.fetch_add(1, std::memory_order_relaxed);
-        busy_ns_.fetch_add(dt, std::memory_order_relaxed);
         t_prev = now;
       }
     }
@@ -214,15 +209,7 @@ void ThreadPool::ParallelForBlocked(
     Submit([state] { state->Drain(); });
   }
 
-  if (metrics) {
-    // The caller's drain is productive chunk time the task-level timing in
-    // WorkerLoop never sees (helpers are timed there); count it here.
-    const uint64_t t0 = obs::NowNs();
-    state->Drain();
-    busy_ns_.fetch_add(obs::NowNs() - t0, std::memory_order_relaxed);
-  } else {
-    state->Drain();
-  }
+  state->Drain();
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) == state->num_chunks;
@@ -303,10 +290,6 @@ std::vector<size_t> AlignedShards(size_t num_rows, size_t num_shards,
   }
   edges.push_back(num_rows);
   return edges;
-}
-
-std::vector<size_t> WordAlignedShards(size_t num_rows, size_t num_shards) {
-  return AlignedShards(num_rows, num_shards, 64);
 }
 
 }  // namespace osdp

@@ -110,14 +110,13 @@ class ThreadPool {
     uint64_t tasks_executed = 0;   // by workers; inline-pool tasks count too
     uint64_t parallel_fors = 0;    // ParallelForBlocked calls (any path)
     uint64_t chunks_executed = 0;  // chunks run, by workers and callers
-    uint64_t busy_ns = 0;          // summed wall time inside tasks/chunks
+    uint64_t busy_ns = 0;          // summed wall time inside worker tasks
     size_t queue_depth = 0;        // now (under the queue lock)
     uint64_t peak_queue_depth = 0;
     /// busy_ns / (num_threads × pool lifetime): the fraction of worker
-    /// capacity spent executing. 0 for the inline pool (no workers to
-    /// utilize); caller-drained chunk time is included in busy_ns, so values
-    /// slightly above the workers' true share are possible under heavy
-    /// caller participation.
+    /// capacity spent executing, at most 1. 0 for the inline pool (no
+    /// workers to utilize). Chunks a caller drains outside the workers are
+    /// not worker time and are not counted.
     double utilization = 0.0;
   };
   Stats stats() const;
@@ -165,16 +164,13 @@ size_t ParseNumThreads(const char* value, size_t fallback);
 /// empty shard.
 ///
 /// Mask-word sharding uses alignment 64 (each shard owns whole 64-bit
-/// RowMask words — see WordAlignedShards); table scans use
+/// RowMask words); table scans use
 /// kChunkRows so every interior shard edge is also a chunk edge and a
 /// shard's typed inner loops never straddle two chunks. Any alignment that
 /// is a multiple of 64 preserves the disjoint-words property, so the
 /// sharded scan stays bit-identical to serial either way.
 std::vector<size_t> AlignedShards(size_t num_rows, size_t num_shards,
                                   size_t alignment);
-
-/// AlignedShards at the RowMask word size (64 rows).
-std::vector<size_t> WordAlignedShards(size_t num_rows, size_t num_shards);
 
 }  // namespace osdp
 

@@ -10,6 +10,7 @@
 #include "src/common/check.h"
 #include "src/core/engine.h"
 #include "src/hist/histogram_query.h"
+#include "src/mech/osdp_rr.h"
 
 namespace osdp {
 namespace {
@@ -70,6 +71,38 @@ TEST(EngineTest, RunMechanismIsDeterministicForEveryMechanism) {
     ASSERT_TRUE(hb.ok()) << EngineMechanismToString(m);
     EXPECT_EQ(ha->size(), 10u) << EngineMechanismToString(m);
     EXPECT_EQ(ha->counts(), hb->counts()) << EngineMechanismToString(m);
+  }
+}
+
+TEST(EngineTest, NonFiniteEpsilonIsRejectedByEveryMechanism) {
+  // RunMechanism is the replay entry point and takes ε straight from its
+  // caller. A NaN ε passes an `epsilon <= 0` test and +inf gives a zero
+  // noise scale; both must come back as InvalidArgument, never an abort.
+  const OsdpEngine engine =
+      *OsdpEngine::Create(MakeData(), OptOutSensitive(), {});
+  const HistogramQuery query{"age", *Domain1D::Numeric(0, 100, 10),
+                             std::nullopt};
+  const Table& data = engine.snapshot()->table;
+  const Histogram x = *ComputeHistogram(data, query);
+  const Histogram xns =
+      *ComputeHistogramMasked(data, query, engine.snapshot()->non_sensitive);
+  for (double bad :
+       {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    for (EngineMechanism m :
+         {EngineMechanism::kLaplace, EngineMechanism::kOsdpLaplace,
+          EngineMechanism::kOsdpLaplaceL1, EngineMechanism::kDawa,
+          EngineMechanism::kDawaz, EngineMechanism::kHierarchical}) {
+      Rng rng(7);
+      const auto h = engine.RunMechanism(x, xns, bad, m, rng);
+      ASSERT_FALSE(h.ok()) << EngineMechanismToString(m) << " eps=" << bad;
+      EXPECT_EQ(h.status().code(), StatusCode::kInvalidArgument)
+          << EngineMechanismToString(m) << " eps=" << bad;
+    }
+    Rng rng(7);
+    const auto sample = OsdpRRRelease(data, engine.policy(), bad, rng);
+    ASSERT_FALSE(sample.ok()) << "eps=" << bad;
+    EXPECT_EQ(sample.status().code(), StatusCode::kInvalidArgument)
+        << "eps=" << bad;
   }
 }
 

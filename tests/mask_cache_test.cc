@@ -252,9 +252,7 @@ MaskCache::Stats RunCachedVsColdTwins(size_t rows, size_t threads,
   QueryService::Options copts;
   copts.per_session_epsilon = 1e6;
   copts.pool = &cached_pool;
-  copts.num_shards = threads == 0 ? 1 : 2 * threads + 1;
   copts.mask_cache_bytes = cache_bytes;
-  copts.mask_cache_shards = 2;
   QueryService::Options uopts = copts;
   uopts.pool = &cold_pool;
   uopts.mask_cache_bytes = 0;
@@ -388,14 +386,15 @@ TEST(MaskCacheServiceTest, GenerationIsolationAfterIngest) {
 }
 
 TEST(MaskCacheServiceTest, LruEvictionUnderTinyBudgetStaysBitIdentical) {
-  // A budget of a few hundred bytes fits only ~2 of the pool's masks at
-  // 1000 rows, so the rounds churn the LRU constantly — answers must still
-  // be bit-identical to the cold twin, and eviction must actually happen.
+  // 350 bytes per lock shard (the service's cache has MaskCache's default
+  // 8 shards) fits only one of the pool's masks at 1000 rows per shard, so
+  // the rounds churn the LRU constantly — answers must still be
+  // bit-identical to the cold twin, and eviction must actually happen.
+  constexpr size_t kCacheBytes = 8 * 350;
   const MaskCache::Stats stats = RunCachedVsColdTwins(
-      /*rows=*/1000, /*threads=*/2, /*cache_bytes=*/700,
-      /*rng_seed=*/0x71D7);
+      /*rows=*/1000, /*threads=*/2, kCacheBytes, /*rng_seed=*/0x71D7);
   EXPECT_GT(stats.evictions, 0u) << "budget was not tiny enough to evict";
-  EXPECT_LE(stats.bytes, 700u);
+  EXPECT_LE(stats.bytes, kCacheBytes);
 }
 
 }  // namespace

@@ -72,15 +72,15 @@ std::vector<ServiceRequest> TestBatch() {
 TEST(QueryServiceTest, AnswersMatchAcrossThreadAndShardCounts) {
   // The determinism contract: identical service configuration except for
   // parallelism ⇒ bit-identical answers. Noise comes from the per-query
-  // (seed, session, seq) stream, never from scheduling.
+  // (seed, session, seq) stream, never from scheduling. Scans run one shard
+  // per pool worker, so the thread grid also varies the shard count.
   std::vector<std::vector<double>> counts_by_config;
   std::vector<std::vector<double>> hist_bins_by_config;
-  const size_t thread_counts[] = {0, 1, 4};
+  const size_t thread_counts[] = {0, 1, 3, 4};
   for (size_t threads : thread_counts) {
     ThreadPool pool(threads);
     QueryService::Options opts;
     opts.pool = &pool;
-    opts.num_shards = threads == 0 ? 1 : 2 * threads + 1;
     auto service = *QueryService::Create(TestEngine(10.0), opts);
     const QueryService::SessionId session = service->OpenSession("alice");
 
@@ -385,7 +385,6 @@ TEST(QueryServiceStreamingTest, AnswersStayDeterministicAcrossThreadCounts) {
     ThreadPool pool(threads);
     QueryService::Options opts;
     opts.pool = &pool;
-    opts.num_shards = threads == 0 ? 1 : 2 * threads + 1;
     auto service = *QueryService::Create(TestEngine(10.0), opts);
     const auto session = service->OpenSession("alice");
 
@@ -451,10 +450,9 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
   const Domain1D fine_domain = *Domain1D::Numeric(0, 100, 1024);
   const auto make_query = [&](int s, int q) -> ServiceRequest {
     if (q % 4 == 3) {
-      // Histogram releases rotate through the mechanism stage's three
-      // concurrency-bearing paths: masked one-sided Laplace (scan-side
-      // sharding), DAWA (sharded engine build), and the hierarchical
-      // release (level-synchronous consistency passes).
+      // Histogram releases rotate through masked one-sided Laplace
+      // (scan-side sharding), DAWA (sharded engine build), and the
+      // hierarchical release (served concurrently, computed serially).
       if (q == 7) {
         return HistogramRequest{
             HistogramQuery{"age", fine_domain, std::nullopt}, kEps,

@@ -158,6 +158,33 @@ TEST(ThreadPoolTest, NestedParallelForInnerExceptionStaysInner) {
   EXPECT_EQ(inner_failures.load(), 4);
 }
 
+// A chunk that keeps its thread occupied for a fixed wall time.
+void Occupy(size_t, size_t) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+}
+
+TEST(ThreadPoolTest, UtilizationCountsOnlyWorkerTime) {
+  // The caller drains chunks beside the single worker. Only the worker's
+  // time is worker capacity; adding the caller's drain to it would report
+  // about 2.
+  ThreadPool pool(1);
+  pool.set_metrics_enabled(true);
+  pool.ParallelForBlocked(0, 2, 1, Occupy);
+  EXPECT_LE(pool.stats().utilization, 1.0);
+}
+
+TEST(ThreadPoolTest, UtilizationCountsNestedDrainOnce) {
+  // A worker task that runs a nested loop drains it itself; that drain is
+  // already inside the task's own timing and must not be counted again.
+  ThreadPool pool(1);
+  pool.set_metrics_enabled(true);
+  pool.Submit([&pool] { pool.ParallelForBlocked(0, 2, 1, Occupy); });
+  // Two tasks run: the outer one, then the nested loop's helper, which
+  // finds every chunk already claimed.
+  while (pool.stats().tasks_executed < 2) std::this_thread::yield();
+  EXPECT_LE(pool.stats().utilization, 1.0);
+}
+
 TEST(ParseNumThreadsTest, RejectsUnparsableValuesInsteadOfSilentZero) {
   constexpr size_t kFallback = 11;
   // The regression this pins: atoll("garbage") is 0, which silently turned a
@@ -180,11 +207,11 @@ TEST(ParseNumThreadsTest, RejectsUnparsableValuesInsteadOfSilentZero) {
   EXPECT_EQ(ParseNumThreads("-99", kFallback), 0u);
 }
 
-TEST(WordAlignedShardsTest, EdgesAreAlignedAndCoverEverything) {
+TEST(AlignedShardsTest, WordEdgesAreAlignedAndCoverEverything) {
   for (size_t rows : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
                       size_t{65}, size_t{1000}, size_t{100000}}) {
     for (size_t shards : {size_t{1}, size_t{2}, size_t{7}, size_t{64}}) {
-      const std::vector<size_t> edges = WordAlignedShards(rows, shards);
+      const std::vector<size_t> edges = AlignedShards(rows, shards, 64);
       ASSERT_GE(edges.size(), 2u);
       EXPECT_EQ(edges.front(), 0u);
       EXPECT_EQ(edges.back(), rows);
