@@ -29,6 +29,30 @@ inline int Reps(int fallback) {
   return (v > 0 && v <= INT_MAX) ? static_cast<int>(v) : fallback;
 }
 
+/// \brief The thread grid of a scaling bench, read from OSDP_BENCH_THREADS:
+/// comma-separated counts of executing threads (pool workers plus the
+/// caller, which drains chunks too), each >= 1. Unset or malformed values
+/// yield `fallback` whole, by the same strict contract as Reps.
+inline std::vector<long long> ParseThreadGrid(
+    std::vector<long long> fallback = {1, 2, 4}) {
+  const char* env = std::getenv("OSDP_BENCH_THREADS");
+  if (env == nullptr) return fallback;
+  std::vector<long long> out;
+  const std::string s = env;
+  size_t pos = 0;
+  while (pos <= s.size()) {
+    const size_t comma = s.find(',', pos);
+    const std::string tok =
+        s.substr(pos, comma == std::string::npos ? s.npos : comma - pos);
+    long long v = 0;
+    if (!ParseInt64Strict(tok.c_str(), &v) || v < 1) return fallback;
+    out.push_back(v);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return out.empty() ? fallback : out;
+}
+
 /// \brief A non-negative double knob (overhead gates, ratios) read from env
 /// var `name` with the same strict-or-fallback contract as Reps.
 inline double EnvGate(const char* name, double fallback) {

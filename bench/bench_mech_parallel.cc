@@ -69,25 +69,6 @@ struct Measurement {
   double sec;
 };
 
-std::vector<long long> ParseThreadGrid(const char* env) {
-  const std::vector<long long> fallback = {1, 2, 4};
-  if (env == nullptr) return fallback;
-  std::vector<long long> out;
-  const std::string s = env;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    const size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? s.npos : comma - pos);
-    long long v = 0;
-    if (!ParseInt64Strict(tok.c_str(), &v) || v < 1) return fallback;
-    out.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out.empty() ? fallback : out;
-}
-
 // Full-table comparison of two engines over every level and start position.
 bool EnginesIdentical(const IntervalCostEngine& a, const IntervalCostEngine& b,
                       size_t d) {
@@ -120,8 +101,7 @@ int main() {
                                max_d_parsed > 0
                            ? static_cast<size_t>(max_d_parsed)
                            : 262144;
-  const std::vector<long long> thread_grid =
-      ParseThreadGrid(std::getenv("OSDP_BENCH_THREADS"));
+  const std::vector<long long> thread_grid = bench::ParseThreadGrid();
 
   std::vector<size_t> domains;
   for (size_t d = 4096; d <= 262144; d *= 4) {

@@ -18,14 +18,17 @@
 //     lands on both halves of a pair and cancels in the ratio; the median
 //     then shrugs off the pairs a noise burst split. (A best-of-N ratio of
 //     independent runs swings by ±15% on a busy single-core host; the
-//     paired median is what makes a 2% gate enforceable.)
+//     paired median is what makes a 2% gate enforceable.) The median needs
+//     enough pairs: a batch takes ~2.5 ms on a 4-vCPU host, and with 41
+//     pairs the median of one binary spread from -1.4% to +5.3% across
+//     twelve runs; with 201 pairs it stayed within 0.7-1.8%.
 //   * COVERAGE: DumpMetricsJson() from the enabled twin names every
 //     subsystem — service.*, cache.*, pool.*, ingest.*, budget.*, fault.* —
 //     and the trace ring holds traces. The disabled twin's ring stays empty
 //     and its stage histograms stay at count 0.
 //
 // Knobs: OSDP_BENCH_MAX_ROWS (table size, default 100000), OSDP_BENCH_REPS
-// (timing pairs, default 41), OSDP_BENCH_MAX_OBS_OVERHEAD (the gate),
+// (timing pairs, default 201), OSDP_BENCH_MAX_OBS_OVERHEAD (the gate),
 // OSDP_BENCH_JSON (artifact path, default BENCH_obs_overhead.json).
 
 #include <algorithm>
@@ -114,7 +117,7 @@ int main() {
   const char* max_rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
   const size_t rows =
       max_rows_env ? static_cast<size_t>(std::atoll(max_rows_env)) : 100000;
-  const int reps = bench::Reps(41);
+  const int reps = bench::Reps(201);
   const double max_overhead = bench::EnvGate("OSDP_BENCH_MAX_OBS_OVERHEAD", 0.02);
 
   std::printf("=== observability overhead: metrics on vs off twins ===\n");

@@ -1,6 +1,6 @@
 // Scaling benchmark for the parallel execution runtime: rows/sec for the
 // sharded scan paths and the concurrent QueryService versus the serial
-// baselines, across thread counts.
+// baselines, across executing-thread counts.
 //
 //   ingest        table construction: boxed AppendRowUnchecked loop vs the
 //                 columnar Table::FromColumns move-in path (1 thread each;
@@ -8,20 +8,29 @@
 //   mask          CompiledPredicate::EvalMask vs ParallelEvalMask
 //   count         mask eval + AND with the policy mask + popcount, serial
 //                 vs sharded combiners/ParallelCount
+//   count_and     |WHERE ∧ non-sensitive| over an already evaluated WHERE
+//                 mask (a mask-cache hit): copy + AND + count (serial, and
+//                 the sharded ParallelAndWith + ParallelCount) vs the fused
+//                 one-pass ParallelCountAnd ("count_and_fused")
 //   hist          ComputeHistogramMasked vs ParallelComputeHistogramMasked
 //   service       a 16-query batch (12 counts + 4 histograms) through
-//                 QueryService across 4 sessions, pool of N threads vs the
-//                 inline pool
+//                 QueryService across 4 sessions, on N executing threads vs
+//                 the inline pool
+//
+// The thread axis counts executing threads: a pool of w workers runs
+// ParallelForBlocked on w + 1 threads, because the caller drains chunks
+// too, so exec_threads = 1 is the inline pool. Serial baselines run no pool
+// at all and are marked "pooled": false in the JSON.
 //
 // Every parallel measurement is cross-checked bit-identical against its
-// serial counterpart; any divergence exits non-zero (the ctest smoke run
-// relies on this).
+// serial counterpart, and count_and's fused and copying counts against each
+// other; any divergence exits non-zero (the ctest smoke run relies on this).
 //
 // Knobs: OSDP_BENCH_MAX_ROWS caps the row grid (default 10M; the CI smoke
-// run uses 100000), OSDP_BENCH_THREADS is the comma-separated thread grid
-// (default "1,2,4,8"), OSDP_BENCH_JSON the output path (default
-// BENCH_parallel_scan.json). The JSON records hardware_concurrency so a
-// flat curve on a starved machine reads as what it is.
+// run uses 100000), OSDP_BENCH_THREADS is the comma-separated grid of
+// executing threads (default "1,2,4"), OSDP_BENCH_JSON the output path
+// (default BENCH_parallel_scan.json). The JSON records hardware_concurrency
+// so a flat curve on a starved machine reads as what it is.
 
 #include <algorithm>
 #include <chrono>
@@ -33,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/benchdata/table_gen.h"
 #include "src/core/engine.h"
 #include "src/data/compiled_predicate.h"
@@ -76,23 +86,11 @@ int RepsFor(size_t rows) {
 struct Measurement {
   std::string op;
   size_t rows;
-  size_t threads;  // 0 = serial baseline
+  size_t exec_threads;  // pool workers + the caller; 1 for serial baselines
+  bool pooled;          // false = the serial baseline, no pool
   double sec_per_iter;
   double rows_per_sec;
 };
-
-std::vector<size_t> ParseThreads(const char* env) {
-  std::vector<size_t> out;
-  std::string s = env ? env : "1,2,4,8";
-  size_t pos = 0;
-  while (pos < s.size()) {
-    out.push_back(static_cast<size_t>(std::atoll(s.c_str() + pos)));
-    const size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
 
 Predicate BenchPredicate() {
   // The 3-leaf "mixed3" shape of bench_predicate_pipeline, so the serial
@@ -137,10 +135,10 @@ Table MakeCensusTableBoxed(const CensusTableOptions& opts) {
   return table;
 }
 
-int Fail(const char* what, size_t rows, size_t threads) {
+int Fail(const char* what, size_t rows, size_t exec_threads) {
   std::fprintf(stderr,
-               "BIT-IDENTITY VIOLATION: %s (rows=%zu threads=%zu)\n", what,
-               rows, threads);
+               "BIT-IDENTITY VIOLATION: %s (rows=%zu exec_threads=%zu)\n",
+               what, rows, exec_threads);
   return 1;
 }
 
@@ -172,8 +170,7 @@ int main() {
   const char* max_rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
   const size_t max_rows =
       max_rows_env ? static_cast<size_t>(std::atoll(max_rows_env)) : 10000000;
-  const std::vector<size_t> thread_grid =
-      ParseThreads(std::getenv("OSDP_BENCH_THREADS"));
+  const std::vector<long long> thread_grid = bench::ParseThreadGrid();
 
   std::vector<size_t> row_grid;
   for (size_t rows : {size_t{1000000}, size_t{10000000}}) {
@@ -186,7 +183,8 @@ int main() {
   std::vector<Measurement> results;
   volatile size_t sink = 0;
 
-  std::printf("=== parallel scan runtime: rows/sec by thread count ===\n");
+  std::printf(
+      "=== parallel scan runtime: rows/sec by executing threads ===\n");
   std::printf("(hardware_concurrency=%u; row grid capped at %zu)\n\n",
               std::thread::hardware_concurrency(), max_rows);
 
@@ -201,9 +199,9 @@ int main() {
         TimeBest(std::max(reps / 2, 1), [&] { sink += MakeCensusTableBoxed(topts).num_rows(); });
     const double columnar_sec =
         TimeBest(std::max(reps / 2, 1), [&] { sink += MakeCensusTable(topts).num_rows(); });
-    results.push_back({"ingest_boxed", rows, 0, boxed_sec,
+    results.push_back({"ingest_boxed", rows, 1, false, boxed_sec,
                        static_cast<double>(rows) / boxed_sec});
-    results.push_back({"ingest_columnar", rows, 0, columnar_sec,
+    results.push_back({"ingest_columnar", rows, 1, false, columnar_sec,
                        static_cast<double>(rows) / columnar_sec});
 
     const Table table = MakeCensusTable(topts);
@@ -221,16 +219,26 @@ int main() {
     const Histogram serial_hist =
         *ComputeHistogramMasked(table, query, ns_mask);
 
-    results.push_back({"mask", rows, 0,
+    results.push_back({"mask", rows, 1, false,
                        TimeBest(reps, [&] { sink += compiled.EvalMask(table).Count(); }),
                        0});
-    results.push_back({"count", rows, 0, TimeBest(reps, [&] {
+    results.push_back({"count", rows, 1, false, TimeBest(reps, [&] {
                          RowMask m = compiled.EvalMask(table);
                          m.AndWith(ns_mask);
                          sink += m.Count();
                        }),
                        0});
-    results.push_back({"hist", rows, 0, TimeBest(reps, [&] {
+    // A cache hit's count: the WHERE mask is already evaluated, so the copy
+    // + AND + count (or the fused pass) is the whole query. Microseconds
+    // per call, so many more repetitions than the scans.
+    const int mask_reps = reps * 20;
+    results.push_back({"count_and", rows, 1, false, TimeBest(mask_reps, [&] {
+                         RowMask m = serial_mask;
+                         m.AndWith(ns_mask);
+                         sink += m.Count();
+                       }),
+                       0});
+    results.push_back({"hist", rows, 1, false, TimeBest(reps, [&] {
                          sink += static_cast<size_t>(
                              ComputeHistogramMasked(table, query, ns_mask)
                                  ->Total());
@@ -248,7 +256,7 @@ int main() {
             serial_service->OpenSession("s" + std::to_string(s)));
       }
       const auto batch = ServiceBatch(age_domain);
-      results.push_back({"service", rows, 0, TimeBest(reps, [&] {
+      results.push_back({"service", rows, 1, false, TimeBest(reps, [&] {
                            for (const auto sess : serial_sessions) {
                              for (const auto& r :
                                   serial_service->AnswerBatch(sess, batch)) {
@@ -260,8 +268,10 @@ int main() {
     }
 
     // --- parallel, per thread count -------------------------------------
-    for (size_t threads : thread_grid) {
-      ThreadPool pool(threads);
+    for (long long exec : thread_grid) {
+      // exec - 1 workers plus the caller; one shard per executing thread.
+      const size_t threads = static_cast<size_t>(exec);
+      ThreadPool pool(threads - 1);
       const ParallelScanOptions popts{&pool, threads};
 
       const RowMask par_mask = ParallelEvalMask(compiled, table, popts);
@@ -271,24 +281,40 @@ int main() {
       if (ParallelCount(par_count_mask, popts) != serial_count) {
         return Fail("count", rows, threads);
       }
+      if (ParallelCountAnd(serial_mask, ns_mask, popts) != serial_count) {
+        return Fail("count_and_fused", rows, threads);
+      }
       const Histogram par_hist =
           *ParallelComputeHistogramMasked(table, query, ns_mask, popts);
       if (par_hist.counts() != serial_hist.counts()) {
         return Fail("hist", rows, threads);
       }
 
-      results.push_back({"mask", rows, threads, TimeBest(reps, [&] {
+      results.push_back({"mask", rows, threads, true, TimeBest(reps, [&] {
                            sink +=
                                ParallelEvalMask(compiled, table, popts).Count();
                          }),
                          0});
-      results.push_back({"count", rows, threads, TimeBest(reps, [&] {
+      results.push_back({"count", rows, threads, true, TimeBest(reps, [&] {
                            RowMask m = ParallelEvalMask(compiled, table, popts);
                            ParallelAndWith(&m, ns_mask, popts);
                            sink += ParallelCount(m, popts);
                          }),
                          0});
-      results.push_back({"hist", rows, threads, TimeBest(reps, [&] {
+      results.push_back({"count_and", rows, threads, true,
+                         TimeBest(mask_reps, [&] {
+                           RowMask m = serial_mask;
+                           ParallelAndWith(&m, ns_mask, popts);
+                           sink += ParallelCount(m, popts);
+                         }),
+                         0});
+      results.push_back({"count_and_fused", rows, threads, true,
+                         TimeBest(mask_reps, [&] {
+                           sink += ParallelCountAnd(serial_mask, ns_mask,
+                                                    popts);
+                         }),
+                         0});
+      results.push_back({"hist", rows, threads, true, TimeBest(reps, [&] {
                            sink += static_cast<size_t>(
                                ParallelComputeHistogramMasked(table, query,
                                                               ns_mask, popts)
@@ -336,7 +362,7 @@ int main() {
           }
         }
       }
-      results.push_back({"service", rows, threads, TimeBest(reps, [&] {
+      results.push_back({"service", rows, threads, true, TimeBest(reps, [&] {
                            for (const auto sess : sessions) {
                              for (const auto& r :
                                   service->AnswerBatch(sess, batch)) {
@@ -353,19 +379,24 @@ int main() {
         m.rows_per_sec = static_cast<double>(rows) / m.sec_per_iter;
       }
     }
-    TextTable text({"op", "serial rows/s", "threads", "parallel rows/s",
-                    "speedup"});
-    for (const char* op : {"mask", "count", "hist", "service"}) {
+    TextTable text({"op", "serial rows/s", "exec threads (workers + caller)",
+                    "parallel rows/s", "speedup"});
+    for (const char* op :
+         {"mask", "count", "count_and", "count_and_fused", "hist", "service"}) {
+      // count_and_fused is compared against the serial copy + AND + count.
+      const std::string base = std::string(op) == "count_and_fused"
+                                   ? "count_and"
+                                   : std::string(op);
       double serial_rps = 0;
       for (const Measurement& m : results) {
-        if (m.rows == rows && m.op == op && m.threads == 0) {
+        if (m.rows == rows && m.op == base && !m.pooled) {
           serial_rps = m.rows_per_sec;
         }
       }
       for (const Measurement& m : results) {
-        if (m.rows != rows || m.op != op || m.threads == 0) continue;
+        if (m.rows != rows || m.op != op || !m.pooled) continue;
         text.AddRow({op, TextTable::FmtAuto(serial_rps),
-                     std::to_string(m.threads),
+                     std::to_string(m.exec_threads),
                      TextTable::FmtAuto(m.rows_per_sec),
                      TextTable::Fmt(m.rows_per_sec / serial_rps, 2) + "x"});
       }
@@ -392,10 +423,12 @@ int main() {
   for (size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     std::fprintf(f,
-                 "    {\"op\": \"%s\", \"rows\": %zu, \"threads\": %zu, "
-                 "\"sec_per_iter\": %.6g, \"rows_per_sec\": %.6g}%s\n",
-                 m.op.c_str(), m.rows, m.threads, m.sec_per_iter,
-                 m.rows_per_sec, i + 1 < results.size() ? "," : "");
+                 "    {\"op\": \"%s\", \"rows\": %zu, \"exec_threads\": %zu, "
+                 "\"pooled\": %s, \"sec_per_iter\": %.6g, "
+                 "\"rows_per_sec\": %.6g}%s\n",
+                 m.op.c_str(), m.rows, m.exec_threads,
+                 m.pooled ? "true" : "false", m.sec_per_iter, m.rows_per_sec,
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

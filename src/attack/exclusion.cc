@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "src/accounting/budget.h"
+
 namespace osdp {
 
 namespace {
@@ -94,7 +96,9 @@ Result<double> PosteriorOddsRatio(const SingleRecordMechanism& mech,
 Result<bool> SatisfiesOsdpSingleRecord(const SingleRecordMechanism& mech,
                                        double epsilon, double* max_ratio) {
   OSDP_RETURN_IF_ERROR(mech.Validate());
-  if (epsilon <= 0.0) return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
   const double bound = std::exp(epsilon) * (1.0 + 1e-12);
   double worst = 1.0;
   bool ok = true;

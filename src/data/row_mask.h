@@ -3,19 +3,32 @@
 // Every batch operation in the library — policy classification, WHERE-clause
 // filtering, masked histogram construction — produces or consumes a RowMask.
 // Bits are stored 64 per word so that logical combination (AND/OR/NOT) runs
-// word-at-a-time, counting runs on hardware popcount, and iteration over the
-// selected rows runs on count-trailing-zeros rather than a per-row branch.
+// word-at-a-time, counting runs on one popcount kernel (CountAndWords, which
+// uses the popcnt instruction on x86-64 hosts that have it), and iteration
+// over the selected rows runs on count-trailing-zeros rather than a per-row
+// branch.
 
 #ifndef OSDP_DATA_ROW_MASK_H_
 #define OSDP_DATA_ROW_MASK_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 
 namespace osdp {
+
+/// \brief Number of set bits in words [word_begin, word_end) of `a` ANDed
+/// with `b`, or of `a` alone when `b` is nullptr. The one popcount kernel:
+/// RowMask::Count and the sharded counts (src/runtime/parallel_scan.h) all
+/// run it, so an intersection is counted in one pass with no scratch mask.
+/// On x86-64 it is compiled twice, with and without the popcnt instruction,
+/// and the loader picks the clone the CPU supports (ThreadSanitizer builds
+/// compile only the plain loop; see row_mask.cc).
+size_t CountAndWords(const uint64_t* a, const uint64_t* b, size_t word_begin,
+                     size_t word_end);
 
 /// \brief Fixed-size packed bitmap over row indices [0, size).
 ///
@@ -81,11 +94,9 @@ class RowMask {
     ClearTail();
   }
 
-  /// Number of set bits (hardware popcount per word).
+  /// Number of set bits.
   size_t Count() const {
-    size_t n = 0;
-    for (uint64_t w : words_) n += static_cast<size_t>(__builtin_popcountll(w));
-    return n;
+    return CountAndWords(words_.data(), nullptr, 0, words_.size());
   }
 
   /// \name In-place logical combination; operands must cover equal row counts.
@@ -153,12 +164,24 @@ class RowMask {
   /// traversal only reads.
   template <typename Fn>
   void ForEachSetInRange(size_t begin, size_t end, Fn&& fn) const {
+    ForEachSetAndInRange(nullptr, begin, end, std::forward<Fn>(fn));
+  }
+
+  /// ForEachSetInRange over this mask ANDed with `other` (same size), word
+  /// by word as the traversal goes, so the intersection is never
+  /// materialized; nullptr means this mask alone.
+  template <typename Fn>
+  void ForEachSetAndInRange(const RowMask* other, size_t begin, size_t end,
+                            Fn&& fn) const {
     OSDP_DCHECK(begin <= end && end <= size_);
+    OSDP_DCHECK(other == nullptr || other->size_ == size_);
     if (begin >= end) return;
+    const uint64_t* and_words = other != nullptr ? other->words() : nullptr;
     const size_t first_word = begin >> 6;
     const size_t last_word = (end - 1) >> 6;
     for (size_t wi = first_word; wi <= last_word; ++wi) {
       uint64_t w = words_[wi];
+      if (and_words != nullptr) w &= and_words[wi];
       if (wi == first_word && (begin & 63) != 0) {
         w &= ~uint64_t{0} << (begin & 63);
       }

@@ -3,6 +3,7 @@
 #ifndef OSDP_HIST_DOMAIN_H_
 #define OSDP_HIST_DOMAIN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -11,6 +12,31 @@
 #include "src/common/result.h"
 
 namespace osdp {
+
+/// \brief A domain's bin arithmetic as a plain value, for scan loops: a
+/// loop that copies it keeps its constants in registers, and the bin width
+/// is computed once rather than per row. Numeric() is Domain1D::BinOf —
+/// the same operations on the same doubles, so every value lands in the
+/// same bin. Category() returns `size` for a code outside the domain
+/// instead of aborting, so callers can report it.
+struct DomainBinner {
+  double lo;
+  double hi;
+  double width;
+  size_t size;
+
+  size_t Numeric(double value) const {
+    if (!(value > lo)) return 0;  // value <= lo, or NaN (clamps like -inf)
+    if (value >= hi) return size - 1;
+    return std::min(static_cast<size_t>((value - lo) / width), size - 1);
+  }
+
+  size_t Category(int64_t code) const {
+    return code >= 0 && static_cast<uint64_t>(code) < size
+               ? static_cast<size_t>(code)
+               : size;
+  }
+};
 
 /// \brief A 1-D categorical or binned-numeric domain of fixed size.
 ///
@@ -36,6 +62,11 @@ class Domain1D {
 
   /// Bin index of a categorical code; aborts when out of range.
   size_t BinOfCategory(int64_t code) const;
+
+  /// BinOf / BinOfCategory's arithmetic for scan loops (see DomainBinner).
+  DomainBinner binner() const {
+    return {lo_, hi_, (hi_ - lo_) / static_cast<double>(size_), size_};
+  }
 
   /// Inclusive-exclusive bounds of bin i for numeric domains.
   std::pair<double, double> BinBounds(size_t i) const;

@@ -1,6 +1,11 @@
 #include "src/hist/histogram_query.h"
 
-#include "src/common/check.h"
+#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/data/compiled_predicate.h"
 #include "src/data/table_view.h"
 
@@ -8,21 +13,28 @@ namespace osdp {
 
 namespace {
 
+// Largest domain span (hi - lo) binned through an integer table: at most
+// 4,099 entries (16 KB), built in microseconds when a query is prepared.
+constexpr double kMaxIntBinTable = 4096.0;
+// |lo| and |hi| bound for the table, so floor/ceil convert to int64 exactly.
+constexpr double kIntBinTableLimit = 4.0e18;
+
 // Typed, pre-resolved binning closure for one column: the per-row type
 // dispatch and name resolution of the old BinOfRow, hoisted out of the scan.
 struct Binner {
   const ChunkedColumn<int64_t>* i64 = nullptr;  // exactly one of i64/dbl set
   const ChunkedColumn<double>* dbl = nullptr;
-  const Domain1D* domain = nullptr;
+  DomainBinner domain{};
   bool categorical = false;
 
+  // Bin of `row`, or domain.size for a categorical code outside the domain.
   size_t Bin(size_t row) const {
     if (i64 != nullptr) {
       const int64_t v = (*i64)[row];
-      return categorical ? domain->BinOfCategory(v)
-                         : domain->BinOf(static_cast<double>(v));
+      return categorical ? domain.Category(v)
+                         : domain.Numeric(static_cast<double>(v));
     }
-    return domain->BinOf((*dbl)[row]);
+    return domain.Numeric((*dbl)[row]);
   }
 };
 
@@ -30,7 +42,7 @@ Result<Binner> MakeBinner(const Table& table, size_t col_idx,
                           const Domain1D& domain) {
   const Field& field = table.schema().field(col_idx);
   Binner b;
-  b.domain = &domain;
+  b.domain = domain.binner();
   b.categorical = domain.is_categorical();
   switch (field.type) {
     case ValueType::kInt64:
@@ -72,6 +84,24 @@ Result<PreparedHistogramQuery> PreparedHistogramQuery::Prepare(
   prepared.i64_ = binner.i64;
   prepared.dbl_ = binner.dbl;
   prepared.categorical_ = binner.categorical;
+  // An int64 column over a numeric domain that spans few integers bins
+  // through a table: entry k is the bin of the integer int_first_ + k, by
+  // the same DomainBinner arithmetic. The ends are floor(lo) and ceil(hi),
+  // whose bins are 0 and size - 1 — the bins of every value beyond them —
+  // so clamping a value into the table changes no bin.
+  const DomainBinner& bin = binner.domain;
+  if (binner.i64 != nullptr && !binner.categorical &&
+      bin.hi - bin.lo <= kMaxIntBinTable && bin.lo > -kIntBinTableLimit &&
+      bin.hi < kIntBinTableLimit) {
+    const int64_t first = static_cast<int64_t>(std::floor(bin.lo));
+    const int64_t last = static_cast<int64_t>(std::ceil(bin.hi));
+    prepared.int_first_ = first;
+    prepared.int_bins_.reserve(static_cast<size_t>(last - first + 1));
+    for (int64_t v = first; v <= last; ++v) {
+      prepared.int_bins_.push_back(
+          static_cast<uint32_t>(bin.Numeric(static_cast<double>(v))));
+    }
+  }
   if (query.where) {
     OSDP_ASSIGN_OR_RETURN(
         CompiledPredicate compiled,
@@ -82,39 +112,67 @@ Result<PreparedHistogramQuery> PreparedHistogramQuery::Prepare(
   return prepared;
 }
 
-void PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
-                                             size_t row_begin, size_t row_end,
-                                             Histogram* out) const {
-  OSDP_CHECK(out->size() == domain_.size());
-  std::vector<double>& counts = out->counts();
+size_t PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
+                                               const RowMask* and_mask,
+                                               size_t row_begin,
+                                               size_t row_end,
+                                               uint64_t* counts) const {
   // Walk the grouped column chunk-span by chunk-span so the inner loop
-  // indexes a contiguous typed array; the mask drives which rows bin.
-  // Accumulation order stays ascending-row, so the counts are identical to
-  // a flat whole-range loop.
+  // indexes a contiguous typed array; the ANDed masks drive which rows bin.
+  // The binner is a local copy, so its constants stay in registers.
+  const DomainBinner bin = domain_.binner();
+  size_t unbinned = 0;
   if (i64_ != nullptr) {
     if (categorical_) {
       i64_->ForEachSpan(
           row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
-            mask.ForEachSetInRange(gb, gb + len, [&](size_t row) {
-              counts[domain_.BinOfCategory(data[row - gb])] += 1.0;
+            mask.ForEachSetAndInRange(and_mask, gb, gb + len, [&](size_t row) {
+              const size_t b = bin.Category(data[row - gb]);
+              if (b < bin.size) {
+                ++counts[b];
+              } else {
+                ++unbinned;
+              }
+            });
+          });
+    } else if (!int_bins_.empty()) {
+      const uint32_t* table = int_bins_.data();
+      const uint64_t first = static_cast<uint64_t>(int_first_);
+      const uint64_t last = int_bins_.size() - 1;
+      i64_->ForEachSpan(
+          row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
+            mask.ForEachSetAndInRange(and_mask, gb, gb + len, [&](size_t row) {
+              const int64_t v = data[row - gb];
+              // Unsigned difference: no overflow for any v > int_first_.
+              const uint64_t k =
+                  v <= int_first_ ? 0 : static_cast<uint64_t>(v) - first;
+              ++counts[table[std::min(k, last)]];
             });
           });
     } else {
       i64_->ForEachSpan(
           row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
-            mask.ForEachSetInRange(gb, gb + len, [&](size_t row) {
-              counts[domain_.BinOf(static_cast<double>(data[row - gb]))] += 1.0;
+            mask.ForEachSetAndInRange(and_mask, gb, gb + len, [&](size_t row) {
+              ++counts[bin.Numeric(static_cast<double>(data[row - gb]))];
             });
           });
     }
   } else {
     dbl_->ForEachSpan(
         row_begin, row_end, [&](const double* data, size_t gb, size_t len) {
-          mask.ForEachSetInRange(gb, gb + len, [&](size_t row) {
-            counts[domain_.BinOf(data[row - gb])] += 1.0;
+          mask.ForEachSetAndInRange(and_mask, gb, gb + len, [&](size_t row) {
+            ++counts[bin.Numeric(data[row - gb])];
           });
         });
   }
+  return unbinned;
+}
+
+Status PreparedHistogramQuery::BinnedStatus(size_t unbinned) const {
+  if (unbinned == 0) return Status::OK();
+  return Status::InvalidArgument(
+      std::to_string(unbinned) + " selected rows have a category outside " +
+      "the domain of size " + std::to_string(domain_.size()));
 }
 
 Result<Histogram> ComputeHistogram(const Table& table,
@@ -132,15 +190,15 @@ Result<Histogram> ComputeHistogramMasked(const Table& table,
   OSDP_ASSIGN_OR_RETURN(PreparedHistogramQuery prepared,
                         PreparedHistogramQuery::Prepare(table, query));
 
-  Histogram out(prepared.num_bins());
+  std::vector<uint64_t> counts(prepared.num_bins(), 0);
+  std::optional<RowMask> where_mask;
   if (prepared.where() != nullptr) {
-    RowMask selected = mask;
-    selected.AndWith(prepared.where()->EvalMask(table));
-    prepared.AccumulateRange(selected, 0, table.num_rows(), &out);
-  } else {
-    prepared.AccumulateRange(mask, 0, table.num_rows(), &out);
+    where_mask = prepared.where()->EvalMask(table);
   }
-  return out;
+  OSDP_RETURN_IF_ERROR(prepared.BinnedStatus(prepared.AccumulateRange(
+      mask, where_mask ? &*where_mask : nullptr, 0, table.num_rows(),
+      counts.data())));
+  return Histogram(std::vector<double>(counts.begin(), counts.end()));
 }
 
 Result<Histogram> ComputeHistogram(const TableView& view,
@@ -169,9 +227,21 @@ Result<Histogram2D> ComputeHistogram2D(const Table& table,
   OSDP_RETURN_IF_ERROR(ApplyWhere(table, query.where, &selected));
 
   Histogram2D out(query.row_domain.size(), query.col_domain.size());
+  size_t unbinned = 0;
   selected.ForEachSet([&](size_t row) {
-    out.Add(row_binner.Bin(row), col_binner.Bin(row));
+    const size_t r = row_binner.Bin(row);
+    const size_t c = col_binner.Bin(row);
+    if (r < out.rows() && c < out.cols()) {
+      out.Add(r, c);
+    } else {
+      ++unbinned;
+    }
   });
+  if (unbinned != 0) {
+    return Status::InvalidArgument(std::to_string(unbinned) +
+                                   " selected rows have a category outside "
+                                   "the domain");
+  }
   return out;
 }
 

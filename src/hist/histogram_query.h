@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/result.h"
 #include "src/data/compiled_predicate.h"
@@ -56,12 +57,24 @@ class PreparedHistogramQuery {
   /// The compiled WHERE clause, or nullptr when the query has none.
   const CompiledPredicate* where() const { return where_.get(); }
 
-  /// Adds 1 to `out`'s bin of every selected row in [row_begin, row_end):
-  /// rows whose `mask` bit is set. `out` must have num_bins() bins; the
-  /// WHERE clause is *not* applied here — AND it into `mask` first (the
-  /// serial evaluator does; the sharded one does it word-parallel).
-  void AccumulateRange(const RowMask& mask, size_t row_begin, size_t row_end,
-                       Histogram* out) const;
+  /// Adds 1 to counts[b] for every selected row in [row_begin, row_end)
+  /// whose grouped value falls in bin b. A row is selected when its bit is
+  /// set in `mask` and, if `and_mask` is non-null, in `and_mask` too: the
+  /// two are ANDed word by word as the scan goes, so the intersection is
+  /// never materialized. `counts` has num_bins() entries; integer counts are
+  /// exact at any row count. The WHERE clause is *not* applied here — pass
+  /// its mask as one of the two.
+  ///
+  /// Returns the number of selected rows whose categorical code lies outside
+  /// the domain; they are left unbinned (BinnedStatus turns the count into
+  /// the evaluators' error).
+  size_t AccumulateRange(const RowMask& mask, const RowMask* and_mask,
+                         size_t row_begin, size_t row_end,
+                         uint64_t* counts) const;
+
+  /// OK when `unbinned` is 0; otherwise InvalidArgument naming how many
+  /// selected rows fell outside the categorical domain.
+  Status BinnedStatus(size_t unbinned) const;
 
  private:
   PreparedHistogramQuery(Domain1D domain) : domain_(std::move(domain)) {}
@@ -72,6 +85,10 @@ class PreparedHistogramQuery {
   const ChunkedColumn<double>* dbl_ = nullptr;
   bool categorical_ = false;
   Domain1D domain_;
+  // For an int64 column over a numeric domain of small span: the bin of
+  // every integer from int_first_ on (see Prepare); empty otherwise.
+  std::vector<uint32_t> int_bins_;
+  int64_t int_first_ = 0;
   std::shared_ptr<const CompiledPredicate> where_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/accounting/budget.h"
 #include "src/common/distributions.h"
 
 namespace osdp {
@@ -38,8 +39,8 @@ std::vector<double> SampleDirection(Rng& rng, size_t d) {
 
 Result<LogisticRegression> TrainObjDp(const Matrix& x, const std::vector<int>& y,
                                       const ObjDpOptions& opts, Rng& rng) {
-  if (opts.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(opts.epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   if (x.empty()) return Status::InvalidArgument("empty design matrix");
   for (const auto& row : x) {

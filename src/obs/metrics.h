@@ -161,7 +161,6 @@ class LatencyHistogram {
   void Record(uint64_t value_ns) {
     Shard& s = shards_[ShardIndex()];
     s.buckets[BucketFor(value_ns)].fetch_add(1, std::memory_order_relaxed);
-    s.count.fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(value_ns, std::memory_order_relaxed);
     uint64_t cur = s.max.load(std::memory_order_relaxed);
     while (cur < value_ns &&
@@ -252,26 +251,24 @@ class LatencyHistogram {
     Summary out;
     uint64_t sum = 0;
     for (const Shard& s : shards_) {
-      out.count += s.count.load(std::memory_order_relaxed);
       sum += s.sum.load(std::memory_order_relaxed);
       const uint64_t m = s.max.load(std::memory_order_relaxed);
       if (m > out.max_ns) out.max_ns = m;
     }
+    // The sample count is the bucket total: Record keeps no separate count.
+    const std::vector<uint64_t> counts = MergedCounts();
+    for (uint64_t c : counts) out.count += c;
     if (out.count == 0) return out;
     out.mean_ns = static_cast<double>(sum) / static_cast<double>(out.count);
-    const std::vector<uint64_t> counts = MergedCounts();
-    uint64_t total = 0;
-    for (uint64_t c : counts) total += c;
-    out.p50_ns = BucketUpperBound(PercentileBucket(counts, total, 50.0));
-    out.p95_ns = BucketUpperBound(PercentileBucket(counts, total, 95.0));
-    out.p99_ns = BucketUpperBound(PercentileBucket(counts, total, 99.0));
+    out.p50_ns = BucketUpperBound(PercentileBucket(counts, out.count, 50.0));
+    out.p95_ns = BucketUpperBound(PercentileBucket(counts, out.count, 95.0));
+    out.p99_ns = BucketUpperBound(PercentileBucket(counts, out.count, 99.0));
     return out;
   }
 
  private:
   struct Shard {
     std::vector<std::atomic<uint64_t>> buckets;
-    std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> max{0};
   };

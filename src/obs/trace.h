@@ -135,6 +135,10 @@ class TraceSpan {
 
   Trace& trace() { return trace_; }
 
+  /// The timestamp of the latest Mark (span construction if none), so a
+  /// caller can end the span on it without another clock read.
+  uint64_t last_mark_ns() const { return mark_ns_; }
+
   /// Stamps total duration and outcome, then pushes into `ring`.
   void Finish(int status_code, TraceRing& ring, uint64_t end_ns) {
     trace_.status_code = status_code;

@@ -1,5 +1,6 @@
 #include "src/runtime/parallel_scan.h"
 
+#include <optional>
 #include <vector>
 
 #include "src/common/check.h"
@@ -43,6 +44,27 @@ void ForEachShard(size_t num_rows, const ParallelScanOptions& opts,
   });
 }
 
+// Per-shard CountAndWords of `a` (ANDed with `b` when non-null), summed in
+// shard order.
+size_t ParallelCountWords(const RowMask& a, const uint64_t* b,
+                          const ParallelScanOptions& opts) {
+  ThreadPool& pool = PoolOf(opts);
+  const std::vector<size_t> edges =
+      AlignedShards(a.size(), ShardsOf(opts, pool), 64);
+  const size_t shards = edges.size() - 1;
+  std::vector<size_t> partial(shards, 0);
+  pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
+    for (size_t s = lo; s < hi; ++s) {
+      PollAbort(opts);
+      partial[s] = CountAndWords(a.words(), b, edges[s] >> 6,
+                                 (edges[s + 1] + 63) >> 6);
+    }
+  });
+  size_t total = 0;
+  for (size_t n : partial) total += n;
+  return total;
+}
+
 }  // namespace
 
 RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
@@ -59,27 +81,13 @@ RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
 }
 
 size_t ParallelCount(const RowMask& mask, const ParallelScanOptions& opts) {
-  ThreadPool& pool = PoolOf(opts);
-  const std::vector<size_t> edges =
-      AlignedShards(mask.size(), ShardsOf(opts, pool), 64);
-  const size_t shards = edges.size() - 1;
-  std::vector<size_t> partial(shards, 0);
-  const uint64_t* words = mask.words();
-  pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      PollAbort(opts);
-      const size_t wlo = edges[s] >> 6;
-      const size_t whi = (edges[s + 1] + 63) >> 6;
-      size_t n = 0;
-      for (size_t wi = wlo; wi < whi; ++wi) {
-        n += static_cast<size_t>(__builtin_popcountll(words[wi]));
-      }
-      partial[s] = n;
-    }
-  });
-  size_t total = 0;
-  for (size_t n : partial) total += n;
-  return total;
+  return ParallelCountWords(mask, nullptr, opts);
+}
+
+size_t ParallelCountAnd(const RowMask& a, const RowMask& b,
+                        const ParallelScanOptions& opts) {
+  OSDP_CHECK(a.size() == b.size());
+  return ParallelCountWords(a, b.words(), opts);
 }
 
 namespace {
@@ -127,31 +135,47 @@ void ParallelAndNotWith(RowMask* mask, const RowMask& other,
 }
 
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
-                                      const RowMask& selected,
-                                      const ParallelScanOptions& opts) {
+                                      const RowMask& mask,
+                                      const RowMask* and_mask,
+                                      const ParallelScanOptions& opts,
+                                      size_t* unbinned) {
+  OSDP_CHECK(and_mask == nullptr || and_mask->size() == mask.size());
   ThreadPool& pool = PoolOf(opts);
   // Chunk-aligned like ParallelEvalMask: shard accumulation loops stay
-  // within chunk spans. Merge order is shard order either way, so counts
-  // are unchanged.
+  // within chunk spans.
   const std::vector<size_t> edges =
-      AlignedShards(selected.size(), ShardsOf(opts, pool), kChunkRows);
+      AlignedShards(mask.size(), ShardsOf(opts, pool), kChunkRows);
   const size_t shards = edges.size() - 1;
-  std::vector<Histogram> partial(shards, Histogram(prepared.num_bins()));
+  const size_t bins = prepared.num_bins();
+  std::vector<std::vector<uint64_t>> partial(shards,
+                                             std::vector<uint64_t>(bins, 0));
+  std::vector<size_t> partial_unbinned(shards, 0);
   pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
     for (size_t s = lo; s < hi; ++s) {
       PollAbort(opts);
-      prepared.AccumulateRange(selected, edges[s], edges[s + 1], &partial[s]);
+      partial_unbinned[s] = prepared.AccumulateRange(
+          mask, and_mask, edges[s], edges[s + 1], partial[s].data());
     }
   });
 
-  // Lock-free merge in shard order: integer-valued partial counts sum
-  // exactly, so this equals the serial row-order accumulation bit for bit.
-  Histogram out(prepared.num_bins());
-  std::vector<double>& counts = out.counts();
-  for (const Histogram& p : partial) {
-    for (size_t b = 0; b < counts.size(); ++b) counts[b] += p[b];
+  // Integer partial counts sum exactly in any order, so the merged
+  // histogram equals the serial row-order accumulation bit for bit; the
+  // conversion to doubles is exact below 2^53 rows.
+  std::vector<uint64_t>& total = partial[0];
+  for (size_t s = 1; s < shards; ++s) {
+    for (size_t b = 0; b < bins; ++b) total[b] += partial[s][b];
   }
-  return out;
+  if (unbinned != nullptr) {
+    *unbinned = 0;
+    for (size_t n : partial_unbinned) *unbinned += n;
+  }
+  return Histogram(std::vector<double>(total.begin(), total.end()));
+}
+
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& selected,
+                                      const ParallelScanOptions& opts) {
+  return ParallelAccumulateHistogram(prepared, selected, nullptr, opts);
 }
 
 Result<Histogram> ParallelComputeHistogramMasked(
@@ -163,14 +187,17 @@ Result<Histogram> ParallelComputeHistogramMasked(
   OSDP_ASSIGN_OR_RETURN(PreparedHistogramQuery prepared,
                         PreparedHistogramQuery::Prepare(table, query));
 
-  if (prepared.where() == nullptr) {
-    return ParallelAccumulateHistogram(prepared, mask, opts);
+  // Shard-parallel WHERE evaluation, then one accumulation pass that ANDs
+  // it with `mask` word by word.
+  std::optional<RowMask> where_mask;
+  if (prepared.where() != nullptr) {
+    where_mask = ParallelEvalMask(*prepared.where(), table, opts);
   }
-  // Shard-parallel WHERE evaluation into a scratch mask, then a
-  // shard-parallel AND — same words, so the same shard edges apply.
-  RowMask selected = ParallelEvalMask(*prepared.where(), table, opts);
-  ParallelAndWith(&selected, mask, opts);
-  return ParallelAccumulateHistogram(prepared, selected, opts);
+  size_t unbinned = 0;
+  Histogram out = ParallelAccumulateHistogram(
+      prepared, mask, where_mask ? &*where_mask : nullptr, opts, &unbinned);
+  OSDP_RETURN_IF_ERROR(prepared.BinnedStatus(unbinned));
+  return out;
 }
 
 }  // namespace osdp

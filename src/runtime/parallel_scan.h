@@ -15,9 +15,9 @@
 //     holds — and a shard's typed inner loops then never straddle a chunk.
 //   * Per-word bit packing inside a shard is the same computation the serial
 //     scan performs for those words (CompiledPredicate::EvalRangeInto).
-//   * Histogram counts are integer-valued doubles; per-shard partial counts
-//     merged in shard order sum exactly (no FP reordering error below 2^53),
-//     so the merged histogram equals the serial row-order accumulation.
+//   * Histogram shards count into integers, which sum exactly in any order,
+//     and the merged counts become doubles once (exact below 2^53), so the
+//     merged histogram equals the serial row-order accumulation.
 //
 // Options select the pool and the shard count; the defaults (process-wide
 // pool, one shard per worker) are right for throughput. More shards than
@@ -62,6 +62,12 @@ RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
 size_t ParallelCount(const RowMask& mask,
                      const ParallelScanOptions& opts = {});
 
+/// |a ∧ b| without materializing a ∧ b: each shard counts its words of both
+/// masks in one pass (CountAndWords). Equal to copying `a`, AndWith(b), then
+/// Count(). The masks must cover equal row counts.
+size_t ParallelCountAnd(const RowMask& a, const RowMask& b,
+                        const ParallelScanOptions& opts = {});
+
 /// \name RowMask combiners, sharded: each shard rewrites its own words.
 /// @{
 void ParallelAndWith(RowMask* mask, const RowMask& other,
@@ -72,19 +78,32 @@ void ParallelAndNotWith(RowMask* mask, const RowMask& other,
                         const ParallelScanOptions& opts = {});
 /// @}
 
-/// ComputeHistogramMasked, sharded: the WHERE mask is evaluated and combined
-/// shard-parallel, then each shard accumulates its row segment into a
-/// shard-local histogram; partials merge lock-free in shard order.
+/// ComputeHistogramMasked, sharded: the WHERE mask is evaluated shard-
+/// parallel, then each shard accumulates its row segment of mask ∧ WHERE
+/// into shard-local integer counts; partials merge in shard order.
 Result<Histogram> ParallelComputeHistogramMasked(
     const Table& table, const HistogramQuery& query, const RowMask& mask,
     const ParallelScanOptions& opts = {});
 
 /// The accumulation stage alone, for callers that already hold a
-/// PreparedHistogramQuery and a fully-selected mask (WHERE clause, if any,
-/// already ANDed in): per-shard partial histograms over `selected`, merged
-/// lock-free in shard order. This is how a caller answering several
+/// PreparedHistogramQuery and the WHERE mask (if any): per-shard partial
+/// histograms over the rows set in `mask` and, when `and_mask` is non-null,
+/// in `and_mask` too — the masks are ANDed word by word inside the scan, so
+/// no combined mask is built. This is how a caller answering several
 /// histograms against one prepared query avoids re-compiling and re-scanning
-/// the WHERE clause per histogram (QueryService does).
+/// the WHERE clause per histogram (QueryService does, passing the cached
+/// WHERE mask and the policy mask for x_ns).
+///
+/// Selected rows whose categorical code lies outside the domain are left
+/// unbinned; their number goes to `*unbinned` when it is non-null
+/// (PreparedHistogramQuery::BinnedStatus turns it into an error).
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& mask,
+                                      const RowMask* and_mask,
+                                      const ParallelScanOptions& opts = {},
+                                      size_t* unbinned = nullptr);
+
+/// The one-mask form: `selected` already holds every condition.
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& selected,
                                       const ParallelScanOptions& opts = {});

@@ -375,7 +375,9 @@ Result<ServiceAnswer> QueryService::Execute(PreparedRequest* prepared) {
   span.Add(obs::Stage::kReserve, prepared->reserve_ns);
   try {
     Result<ServiceAnswer> result = ExecuteImpl(prepared, &span);
-    const uint64_t end_ns = obs::NowNs();
+    // A delivered answer's last mark is the budget charge, microseconds
+    // ago at most; it doubles as the delivery time.
+    const uint64_t end_ns = result.ok() ? span.last_mark_ns() : obs::NowNs();
     if (result.ok()) {
       m_.queries_delivered->Increment();
       m_.h_query->Record(end_ns - prepared->submit_ns);
@@ -429,12 +431,11 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
                                      obs::NowNs());
       (answer.cache_hit ? m_.h_cache_lookup : m_.h_scan)->Record(dt);
     }
-    // The cached mask is immutable and shared; combining with the policy
-    // mask works on a copy — word operations, negligible next to the scan
-    // the cache hit skipped.
-    RowMask matching = *scan_mask;
-    ParallelAndWith(&matching, snap.non_sensitive, scan);
-    const double count = static_cast<double>(ParallelCount(matching, scan));
+    // |WHERE ∧ non-sensitive| in one pass over both masks: the cached mask
+    // is immutable and shared, and on a cache hit this count is most of the
+    // query's work, so it is counted in place rather than copied and ANDed.
+    const double count = static_cast<double>(
+        ParallelCountAnd(*scan_mask, snap.non_sensitive, scan));
     // One-sided Laplace with sensitivity 1: a one-sided neighbor can only
     // grow the non-sensitive count (Section 5.1).
     OSDP_FAULT_POINT("mechanism/run");
@@ -473,24 +474,33 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
       }
     }
 
+    // A selected row outside a categorical domain makes the request
+    // invalid; returning before the commit refunds both budgets.
+    size_t unbinned = 0;
     Histogram x(query.num_bins());
     if (need_x) {
       if (where_mask != nullptr) {
-        x = ParallelAccumulateHistogram(query, *where_mask, scan);
+        x = ParallelAccumulateHistogram(query, *where_mask, nullptr, scan,
+                                        &unbinned);
       } else {
         const RowMask all_rows(snap.table.num_rows(), /*value=*/true);
-        x = ParallelAccumulateHistogram(query, all_rows, scan);
+        x = ParallelAccumulateHistogram(query, all_rows, nullptr, scan,
+                                        &unbinned);
       }
+      OSDP_RETURN_IF_ERROR(query.BinnedStatus(unbinned));
     }
     Histogram xns(query.num_bins());
     if (need_xns) {
+      // x_ns bins WHERE ∧ non-sensitive; the kernel ANDs the two masks word
+      // by word, so the cached WHERE mask is never copied.
       if (where_mask != nullptr) {
-        RowMask selected = *where_mask;
-        ParallelAndWith(&selected, snap.non_sensitive, scan);
-        xns = ParallelAccumulateHistogram(query, selected, scan);
+        xns = ParallelAccumulateHistogram(query, *where_mask,
+                                          &snap.non_sensitive, scan, &unbinned);
       } else {
-        xns = ParallelAccumulateHistogram(query, snap.non_sensitive, scan);
+        xns = ParallelAccumulateHistogram(query, snap.non_sensitive, nullptr,
+                                          scan, &unbinned);
       }
+      OSDP_RETURN_IF_ERROR(query.BinnedStatus(unbinned));
     }
 
     OSDP_FAULT_POINT("mechanism/run");

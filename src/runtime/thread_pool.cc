@@ -171,21 +171,15 @@ void ThreadPool::ParallelForBlocked(
     // Serial degeneration: exceptions propagate to the caller directly —
     // the same contract as the parallel path's capture-and-rethrow. The
     // fault point fires here too, so hit-counted schedules are invariant
-    // across thread counts.
-    // Chunk timing chains timestamps — one clock read per chunk, the end of
-    // one chunk doubling as the start of the next (loop bookkeeping is
-    // negligible against any real chunk).
-    uint64_t t_prev = metrics ? obs::NowNs() : 0;
+    // across thread counts. Chunks are counted but not timed: the pool adds
+    // nothing to a plain call on the caller, whose own stage timers already
+    // cover it, and two clock reads per call are a measurable share of a
+    // cached query.
     for (size_t lo = begin; lo < end; lo += chunk) {
       OSDP_FAULT_POINT("thread_pool/chunk");
       const size_t hi = lo + chunk < end ? lo + chunk : end;
       fn(lo, hi);
-      if (metrics) {
-        const uint64_t now = obs::NowNs();
-        chunk_hist_.Record(now - t_prev);
-        chunks_executed_.fetch_add(1, std::memory_order_relaxed);
-        t_prev = now;
-      }
+      if (metrics) chunks_executed_.fetch_add(1, std::memory_order_relaxed);
     }
     return;
   }

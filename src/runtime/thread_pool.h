@@ -123,7 +123,9 @@ class ThreadPool {
 
   /// Latency distribution of individual submitted tasks (worker-side).
   const obs::LatencyHistogram& task_histogram() const { return task_hist_; }
-  /// Latency distribution of individual ParallelForBlocked chunks.
+  /// Latency distribution of individual ParallelForBlocked chunks run by the
+  /// parallel path; a loop that degenerates to a serial call on the caller
+  /// (one chunk, or no workers) counts its chunks but does not time them.
   const obs::LatencyHistogram& chunk_histogram() const { return chunk_hist_; }
 
  private:

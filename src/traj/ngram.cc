@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/accounting/budget.h"
 #include "src/common/check.h"
 #include "src/common/distributions.h"
 
@@ -93,7 +94,9 @@ Result<SparseHistogram> TruncatedNGramDistinctUsers(
 Result<SparseHistogram> NGramLaplace(const SparseHistogram& truncated, int k,
                                      double epsilon, Rng& rng) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (epsilon <= 0.0) return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
   const double scale = 2.0 * k / epsilon;
   SparseHistogram out(truncated.domain_size());
   for (const auto& [cell, count] : truncated.cells()) {

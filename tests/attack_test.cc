@@ -54,6 +54,15 @@ TEST(ExclusionTest, OsdpRRPhiEqualsEpsilon) {
   }
 }
 
+TEST(ExclusionTest, SatisfiesOsdpRejectsNonFiniteEpsilon) {
+  SingleRecordMechanism m = MakeOsdpRRModel(OneSensitive(), 1.0);
+  for (double eps : {0.0, -1.0, std::nan(""), kInf}) {
+    Result<bool> r = SatisfiesOsdpSingleRecord(m, eps, nullptr);
+    ASSERT_FALSE(r.ok()) << eps;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << eps;
+  }
+}
+
 // ------------------------------------------------- access control leaks ----
 
 TEST(ExclusionTest, TrumanModelHasUnboundedPhi) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/common/check.h"
 #include "src/ml/evaluation.h"
@@ -114,6 +115,21 @@ TEST(ObjDpTest, RequiresUnitBallRows) {
   Matrix x = {{3.0, 4.0}};
   std::vector<int> y = {1};
   EXPECT_FALSE(TrainObjDp(x, y, ObjDpOptions{}, rng).ok());
+}
+
+TEST(ObjDpTest, RejectsNonFiniteEpsilon) {
+  // NaN slips past an `epsilon <= 0` test; it must not reach the sampler.
+  Rng rng(3);
+  Matrix x = {{0.5, 0.5}, {-0.5, -0.5}};
+  std::vector<int> y = {1, 0};
+  for (double eps : {0.0, -1.0, std::nan(""),
+                     std::numeric_limits<double>::infinity()}) {
+    ObjDpOptions opts;
+    opts.epsilon = eps;
+    Result<LogisticRegression> r = TrainObjDp(x, y, opts, rng);
+    ASSERT_FALSE(r.ok()) << eps;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << eps;
+  }
 }
 
 TEST(ObjDpTest, HighEpsilonApproachesNonPrivateAccuracy) {

@@ -963,6 +963,51 @@ TEST(QueryServiceTest, NonFiniteEpsilonIsRejectedWithoutCharging) {
   EXPECT_EQ(service->ledger().size(), 0u);
 }
 
+TEST(QueryServiceTest, CategoryOutsideDomainIsRejectedWithRefund) {
+  // Ages run 0-99, so a 5-category domain leaves most selected rows
+  // unbinnable. Every mechanism must refuse with InvalidArgument — after
+  // the reservation, so both budgets are refunded — and never abort.
+  auto service = *QueryService::Create(TestEngine(10.0), {});
+  const auto session = service->OpenSession("alice");
+  const double before_service = service->remaining_budget();
+  const double before_session = *service->session_remaining(session);
+
+  auto single = service->AnswerHistogram(
+      session, HistogramQuery{"age", Domain1D::Categorical(5), std::nullopt},
+      0.01, EngineMechanism::kOsdpLaplaceL1);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+
+  std::vector<ServiceRequest> batch;
+  for (EngineMechanism m : kAllMechanisms) {
+    batch.emplace_back(HistogramRequest{
+        HistogramQuery{"age", Domain1D::Categorical(5), std::nullopt}, 0.01,
+        m});
+    batch.emplace_back(HistogramRequest{
+        HistogramQuery{"age", Domain1D::Categorical(5),
+                       Predicate::Ge("age", Value(50))},
+        0.01, m});
+  }
+  for (const auto& r : service->AnswerBatch(session, batch)) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(service->remaining_budget(), before_service);
+  EXPECT_EQ(*service->session_remaining(session), before_session);
+  EXPECT_EQ(service->ledger().size(), 0u);
+
+  // The check is on the selected rows: a WHERE that keeps every row inside
+  // the domain is answered and charged as usual.
+  auto in_domain = service->AnswerHistogram(
+      session,
+      HistogramQuery{"age", Domain1D::Categorical(5),
+                     Predicate::Lt("age", Value(5))},
+      0.01, EngineMechanism::kLaplace);
+  ASSERT_TRUE(in_domain.ok()) << in_domain.status().ToString();
+  EXPECT_EQ(in_domain->histogram->size(), 5u);
+  EXPECT_EQ(service->ledger().size(), 1u);
+}
+
 TEST(QueryServiceTest, NonFiniteBudgetFailsCreate) {
   for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
     OsdpEngine::Options eopts;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "src/common/check.h"
@@ -281,6 +283,19 @@ TEST(NGramTest, LaplaceNoisesMaterializedCells) {
   EXPECT_NE(noisy.Get(10), 50.0);  // noise was added (a.s.)
   EXPECT_DOUBLE_EQ(NGramLaplaceZeroCellError(1, 1.0), 2.0);
   EXPECT_DOUBLE_EQ(NGramLaplaceZeroCellError(4, 0.5), 16.0);
+}
+
+TEST(NGramTest, LaplaceRejectsNonFiniteEpsilon) {
+  // NaN slips past an `epsilon <= 0` test; it must not reach the sampler.
+  SparseHistogram truth(100);
+  truth.Set(3, 7.0);
+  Rng rng(2);
+  for (double eps : {0.0, -1.0, std::nan(""),
+                     std::numeric_limits<double>::infinity()}) {
+    Result<SparseHistogram> r = NGramLaplace(truth, /*k=*/1, eps, rng);
+    ASSERT_FALSE(r.ok()) << eps;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << eps;
+  }
 }
 
 TEST(NGramTest, ValidatesDomainFitsCellIds) {
