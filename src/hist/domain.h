@@ -18,7 +18,7 @@ namespace osdp {
 /// is computed once rather than per row. Numeric() is Domain1D::BinOf —
 /// the same operations on the same doubles, so every value lands in the
 /// same bin. Category() returns `size` for a code outside the domain
-/// instead of aborting, so callers can report it.
+/// instead of aborting, so scan loops can leave the row unbinned.
 struct DomainBinner {
   double lo;
   double hi;

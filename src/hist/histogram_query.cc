@@ -1,7 +1,5 @@
 #include "src/hist/histogram_query.h"
 
-#include <algorithm>
-#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,12 +10,6 @@
 namespace osdp {
 
 namespace {
-
-// Largest domain span (hi - lo) binned through an integer table: at most
-// 4,099 entries (16 KB), built in microseconds when a query is prepared.
-constexpr double kMaxIntBinTable = 4096.0;
-// |lo| and |hi| bound for the table, so floor/ceil convert to int64 exactly.
-constexpr double kIntBinTableLimit = 4.0e18;
 
 // Typed, pre-resolved binning closure for one column: the per-row type
 // dispatch and name resolution of the old BinOfRow, hoisted out of the scan.
@@ -84,24 +76,6 @@ Result<PreparedHistogramQuery> PreparedHistogramQuery::Prepare(
   prepared.i64_ = binner.i64;
   prepared.dbl_ = binner.dbl;
   prepared.categorical_ = binner.categorical;
-  // An int64 column over a numeric domain that spans few integers bins
-  // through a table: entry k is the bin of the integer int_first_ + k, by
-  // the same DomainBinner arithmetic. The ends are floor(lo) and ceil(hi),
-  // whose bins are 0 and size - 1 — the bins of every value beyond them —
-  // so clamping a value into the table changes no bin.
-  const DomainBinner& bin = binner.domain;
-  if (binner.i64 != nullptr && !binner.categorical &&
-      bin.hi - bin.lo <= kMaxIntBinTable && bin.lo > -kIntBinTableLimit &&
-      bin.hi < kIntBinTableLimit) {
-    const int64_t first = static_cast<int64_t>(std::floor(bin.lo));
-    const int64_t last = static_cast<int64_t>(std::ceil(bin.hi));
-    prepared.int_first_ = first;
-    prepared.int_bins_.reserve(static_cast<size_t>(last - first + 1));
-    for (int64_t v = first; v <= last; ++v) {
-      prepared.int_bins_.push_back(
-          static_cast<uint32_t>(bin.Numeric(static_cast<double>(v))));
-    }
-  }
   if (query.where) {
     OSDP_ASSIGN_OR_RETURN(
         CompiledPredicate compiled,
@@ -112,41 +86,21 @@ Result<PreparedHistogramQuery> PreparedHistogramQuery::Prepare(
   return prepared;
 }
 
-size_t PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
-                                               const RowMask* and_mask,
-                                               size_t row_begin,
-                                               size_t row_end,
-                                               uint64_t* counts) const {
+void PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
+                                             const RowMask* and_mask,
+                                             size_t row_begin, size_t row_end,
+                                             uint64_t* counts) const {
   // Walk the grouped column chunk-span by chunk-span so the inner loop
   // indexes a contiguous typed array; the ANDed masks drive which rows bin.
   // The binner is a local copy, so its constants stay in registers.
   const DomainBinner bin = domain_.binner();
-  size_t unbinned = 0;
   if (i64_ != nullptr) {
     if (categorical_) {
       i64_->ForEachSpan(
           row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
             mask.ForEachSetAndInRange(and_mask, gb, gb + len, [&](size_t row) {
               const size_t b = bin.Category(data[row - gb]);
-              if (b < bin.size) {
-                ++counts[b];
-              } else {
-                ++unbinned;
-              }
-            });
-          });
-    } else if (!int_bins_.empty()) {
-      const uint32_t* table = int_bins_.data();
-      const uint64_t first = static_cast<uint64_t>(int_first_);
-      const uint64_t last = int_bins_.size() - 1;
-      i64_->ForEachSpan(
-          row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
-            mask.ForEachSetAndInRange(and_mask, gb, gb + len, [&](size_t row) {
-              const int64_t v = data[row - gb];
-              // Unsigned difference: no overflow for any v > int_first_.
-              const uint64_t k =
-                  v <= int_first_ ? 0 : static_cast<uint64_t>(v) - first;
-              ++counts[table[std::min(k, last)]];
+              if (b < bin.size) ++counts[b];
             });
           });
     } else {
@@ -165,14 +119,6 @@ size_t PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
           });
         });
   }
-  return unbinned;
-}
-
-Status PreparedHistogramQuery::BinnedStatus(size_t unbinned) const {
-  if (unbinned == 0) return Status::OK();
-  return Status::InvalidArgument(
-      std::to_string(unbinned) + " selected rows have a category outside " +
-      "the domain of size " + std::to_string(domain_.size()));
 }
 
 Result<Histogram> ComputeHistogram(const Table& table,
@@ -195,9 +141,8 @@ Result<Histogram> ComputeHistogramMasked(const Table& table,
   if (prepared.where() != nullptr) {
     where_mask = prepared.where()->EvalMask(table);
   }
-  OSDP_RETURN_IF_ERROR(prepared.BinnedStatus(prepared.AccumulateRange(
-      mask, where_mask ? &*where_mask : nullptr, 0, table.num_rows(),
-      counts.data())));
+  prepared.AccumulateRange(mask, where_mask ? &*where_mask : nullptr, 0,
+                           table.num_rows(), counts.data());
   return Histogram(std::vector<double>(counts.begin(), counts.end()));
 }
 
@@ -227,21 +172,12 @@ Result<Histogram2D> ComputeHistogram2D(const Table& table,
   OSDP_RETURN_IF_ERROR(ApplyWhere(table, query.where, &selected));
 
   Histogram2D out(query.row_domain.size(), query.col_domain.size());
-  size_t unbinned = 0;
   selected.ForEachSet([&](size_t row) {
     const size_t r = row_binner.Bin(row);
     const size_t c = col_binner.Bin(row);
-    if (r < out.rows() && c < out.cols()) {
-      out.Add(r, c);
-    } else {
-      ++unbinned;
-    }
+    // A categorical code outside its domain falls in no cell.
+    if (r < out.rows() && c < out.cols()) out.Add(r, c);
   });
-  if (unbinned != 0) {
-    return Status::InvalidArgument(std::to_string(unbinned) +
-                                   " selected rows have a category outside "
-                                   "the domain");
-  }
   return out;
 }
 

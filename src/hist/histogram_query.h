@@ -65,16 +65,14 @@ class PreparedHistogramQuery {
   /// exact at any row count. The WHERE clause is *not* applied here — pass
   /// its mask as one of the two.
   ///
-  /// Returns the number of selected rows whose categorical code lies outside
-  /// the domain; they are left unbinned (BinnedStatus turns the count into
-  /// the evaluators' error).
-  size_t AccumulateRange(const RowMask& mask, const RowMask* and_mask,
-                         size_t row_begin, size_t row_end,
-                         uint64_t* counts) const;
-
-  /// OK when `unbinned` is 0; otherwise InvalidArgument naming how many
-  /// selected rows fell outside the categorical domain.
-  Status BinnedStatus(size_t unbinned) const;
+  /// A row whose categorical code lies outside the domain falls in no bin,
+  /// as a numeric value outside [lo, hi) falls in an edge bin: the counts
+  /// are a fixed function of the rows, so a row's value never decides
+  /// whether a release happens, and adding or removing one row still
+  /// changes at most one count by one.
+  void AccumulateRange(const RowMask& mask, const RowMask* and_mask,
+                       size_t row_begin, size_t row_end,
+                       uint64_t* counts) const;
 
  private:
   PreparedHistogramQuery(Domain1D domain) : domain_(std::move(domain)) {}
@@ -85,10 +83,6 @@ class PreparedHistogramQuery {
   const ChunkedColumn<double>* dbl_ = nullptr;
   bool categorical_ = false;
   Domain1D domain_;
-  // For an int64 column over a numeric domain of small span: the bin of
-  // every integer from int_first_ on (see Prepare); empty otherwise.
-  std::vector<uint32_t> int_bins_;
-  int64_t int_first_ = 0;
   std::shared_ptr<const CompiledPredicate> where_;
 };
 

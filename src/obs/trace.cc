@@ -21,8 +21,6 @@ const char* StageName(Stage stage) {
       return "mechanism";
     case Stage::kBudgetCharge:
       return "budget_charge";
-    case Stage::kDeliver:
-      return "deliver";
   }
   return "unknown";
 }

@@ -1,5 +1,5 @@
 // Per-query trace spans: the stage timeline of one request (admit → cache
-// lookup / scan → mechanism → budget charge → deliver) captured into a fixed
+// lookup / scan → mechanism → budget charge) captured into a fixed
 // inline event array, plus a bounded ring of recent traces for post-hoc
 // inspection (text/JSON dump).
 //
@@ -34,7 +34,6 @@ enum class Stage : uint8_t {
   kScan,
   kMechanism,
   kBudgetCharge,
-  kDeliver,
 };
 
 const char* StageName(Stage stage);

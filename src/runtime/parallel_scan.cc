@@ -137,8 +137,7 @@ void ParallelAndNotWith(RowMask* mask, const RowMask& other,
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& mask,
                                       const RowMask* and_mask,
-                                      const ParallelScanOptions& opts,
-                                      size_t* unbinned) {
+                                      const ParallelScanOptions& opts) {
   OSDP_CHECK(and_mask == nullptr || and_mask->size() == mask.size());
   ThreadPool& pool = PoolOf(opts);
   // Chunk-aligned like ParallelEvalMask: shard accumulation loops stay
@@ -149,12 +148,11 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
   const size_t bins = prepared.num_bins();
   std::vector<std::vector<uint64_t>> partial(shards,
                                              std::vector<uint64_t>(bins, 0));
-  std::vector<size_t> partial_unbinned(shards, 0);
   pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
     for (size_t s = lo; s < hi; ++s) {
       PollAbort(opts);
-      partial_unbinned[s] = prepared.AccumulateRange(
-          mask, and_mask, edges[s], edges[s + 1], partial[s].data());
+      prepared.AccumulateRange(mask, and_mask, edges[s], edges[s + 1],
+                               partial[s].data());
     }
   });
 
@@ -164,10 +162,6 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
   std::vector<uint64_t>& total = partial[0];
   for (size_t s = 1; s < shards; ++s) {
     for (size_t b = 0; b < bins; ++b) total[b] += partial[s][b];
-  }
-  if (unbinned != nullptr) {
-    *unbinned = 0;
-    for (size_t n : partial_unbinned) *unbinned += n;
   }
   return Histogram(std::vector<double>(total.begin(), total.end()));
 }
@@ -193,11 +187,8 @@ Result<Histogram> ParallelComputeHistogramMasked(
   if (prepared.where() != nullptr) {
     where_mask = ParallelEvalMask(*prepared.where(), table, opts);
   }
-  size_t unbinned = 0;
-  Histogram out = ParallelAccumulateHistogram(
-      prepared, mask, where_mask ? &*where_mask : nullptr, opts, &unbinned);
-  OSDP_RETURN_IF_ERROR(prepared.BinnedStatus(unbinned));
-  return out;
+  return ParallelAccumulateHistogram(
+      prepared, mask, where_mask ? &*where_mask : nullptr, opts);
 }
 
 }  // namespace osdp

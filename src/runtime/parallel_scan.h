@@ -93,15 +93,10 @@ Result<Histogram> ParallelComputeHistogramMasked(
 /// histograms against one prepared query avoids re-compiling and re-scanning
 /// the WHERE clause per histogram (QueryService does, passing the cached
 /// WHERE mask and the policy mask for x_ns).
-///
-/// Selected rows whose categorical code lies outside the domain are left
-/// unbinned; their number goes to `*unbinned` when it is non-null
-/// (PreparedHistogramQuery::BinnedStatus turns it into an error).
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& mask,
                                       const RowMask* and_mask,
-                                      const ParallelScanOptions& opts = {},
-                                      size_t* unbinned = nullptr);
+                                      const ParallelScanOptions& opts = {});
 
 /// The one-mask form: `selected` already holds every condition.
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,

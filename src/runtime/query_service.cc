@@ -375,13 +375,12 @@ Result<ServiceAnswer> QueryService::Execute(PreparedRequest* prepared) {
   span.Add(obs::Stage::kReserve, prepared->reserve_ns);
   try {
     Result<ServiceAnswer> result = ExecuteImpl(prepared, &span);
-    // A delivered answer's last mark is the budget charge, microseconds
-    // ago at most; it doubles as the delivery time.
+    // A delivered answer's trace ends on its last mark, the budget charge:
+    // only the answer's return follows it.
     const uint64_t end_ns = result.ok() ? span.last_mark_ns() : obs::NowNs();
     if (result.ok()) {
       m_.queries_delivered->Increment();
       m_.h_query->Record(end_ns - prepared->submit_ns);
-      span.Mark(obs::Stage::kDeliver, end_ns);
       span.trace().cache_hit = result.ValueOrDie().cache_hit;
     } else {
       m_.queries_failed->Increment();
@@ -474,20 +473,14 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
       }
     }
 
-    // A selected row outside a categorical domain makes the request
-    // invalid; returning before the commit refunds both budgets.
-    size_t unbinned = 0;
     Histogram x(query.num_bins());
     if (need_x) {
       if (where_mask != nullptr) {
-        x = ParallelAccumulateHistogram(query, *where_mask, nullptr, scan,
-                                        &unbinned);
+        x = ParallelAccumulateHistogram(query, *where_mask, scan);
       } else {
         const RowMask all_rows(snap.table.num_rows(), /*value=*/true);
-        x = ParallelAccumulateHistogram(query, all_rows, nullptr, scan,
-                                        &unbinned);
+        x = ParallelAccumulateHistogram(query, all_rows, scan);
       }
-      OSDP_RETURN_IF_ERROR(query.BinnedStatus(unbinned));
     }
     Histogram xns(query.num_bins());
     if (need_xns) {
@@ -495,12 +488,10 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
       // by word, so the cached WHERE mask is never copied.
       if (where_mask != nullptr) {
         xns = ParallelAccumulateHistogram(query, *where_mask,
-                                          &snap.non_sensitive, scan, &unbinned);
+                                          &snap.non_sensitive, scan);
       } else {
-        xns = ParallelAccumulateHistogram(query, snap.non_sensitive, nullptr,
-                                          scan, &unbinned);
+        xns = ParallelAccumulateHistogram(query, snap.non_sensitive, scan);
       }
-      OSDP_RETURN_IF_ERROR(query.BinnedStatus(unbinned));
     }
 
     OSDP_FAULT_POINT("mechanism/run");

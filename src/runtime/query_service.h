@@ -237,7 +237,7 @@ class QueryService {
     /// this switch.
     bool metrics_enabled = true;
     /// Capacity of the bounded in-memory ring of recent per-query traces
-    /// (admit → cache lookup/scan → mechanism → budget charge → deliver).
+    /// (admit → cache lookup/scan → mechanism → budget charge).
     /// Slots are preallocated at Create; 0 keeps spans from being retained.
     size_t trace_ring_capacity = 256;
   };

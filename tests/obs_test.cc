@@ -251,11 +251,11 @@ TEST(TraceRingTest, DumpsRenderEveryLiveTrace) {
   obs::TraceRing ring(4);
   obs::TraceSpan span(1, 2, 3);
   span.Add(obs::Stage::kAdmit, 10);
-  span.Mark(obs::Stage::kDeliver, span.trace().start_ns + 25);
+  span.Mark(obs::Stage::kBudgetCharge, span.trace().start_ns + 25);
   span.Finish(0, ring, span.trace().start_ns + 25);
   const std::string text = ring.DumpText();
   EXPECT_NE(text.find("admit"), std::string::npos);
-  EXPECT_NE(text.find("deliver"), std::string::npos);
+  EXPECT_NE(text.find("budget_charge"), std::string::npos);
   const std::string json = ring.DumpJson();
   EXPECT_NE(json.find("\"seq\""), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
