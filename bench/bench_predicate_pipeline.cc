@@ -10,7 +10,13 @@
 //              dispatch. This is the semantics oracle the property test
 //              checks the compiled path against.
 //   compiled   CompiledPredicate::EvalMask: bound once against the schema,
-//              evaluated column-at-a-time into a packed RowMask.
+//              evaluated one 4,096-row block at a time into a packed
+//              RowMask.
+//
+// Shapes: num1 (one int64 comparison), mixed3 (string, int64 and OR),
+// in5 (IN list, double comparison, NOT), range3 (three half-open ranges
+// over zip, age and income ANDed: the service benchmark's cold_ingest
+// WHERE, which lowers to three range leaves).
 //
 // Knobs: OSDP_BENCH_MAX_ROWS caps the row grid (default 10M; set 100000 for
 // a CI smoke run), OSDP_BENCH_JSON sets the output path (default
@@ -21,6 +27,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/benchdata/table_gen.h"
@@ -47,6 +55,11 @@ struct Shape {
   Predicate pred;
 };
 
+Predicate HalfOpen(const std::string& column, Value lo, Value hi) {
+  return Predicate::And(Predicate::Ge(column, std::move(lo)),
+                        Predicate::Lt(column, std::move(hi)));
+}
+
 std::vector<Shape> MakeShapes() {
   return {
       {"num1", 1, Predicate::Le("age", Value(40))},
@@ -60,6 +73,13 @@ std::vector<Shape> MakeShapes() {
                Predicate::In("race", {Value("C1"), Value("C2"), Value("C5")}),
                Predicate::Gt("income", Value(30000.0))),
            Predicate::Not(Predicate::Lt("zip", Value(2000))))},
+      // The service benchmark's cold_ingest WHERE: half-open ranges over
+      // zip, age (int64) and income (double), ANDed.
+      {"range3", 6,
+       Predicate::And(
+           Predicate::And(HalfOpen("zip", Value(2500), Value(5500)),
+                          HalfOpen("age", Value(20), Value(55))),
+           HalfOpen("income", Value(35000.0), Value(140000.0)))},
   };
 }
 
@@ -116,8 +136,11 @@ int main() {
   std::vector<Measurement> results;
   volatile size_t sink = 0;  // defeats dead-code elimination
 
+  const unsigned hardware_concurrency = std::thread::hardware_concurrency();
   std::printf("=== compiled predicate pipeline: rows/sec by path ===\n");
-  std::printf("(best of N; 1-thread; row grid capped at %zu)\n\n", max_rows);
+  std::printf("(best of N; 1-thread; row grid capped at %zu; "
+              "hardware_concurrency %u)\n\n",
+              max_rows, hardware_concurrency);
 
   for (size_t rows : row_grid) {
     CensusTableOptions topts;
@@ -253,7 +276,10 @@ int main() {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"predicate_pipeline\",\n  \"results\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"predicate_pipeline\",\n"
+               "  \"hardware_concurrency\": %u,\n  \"results\": [\n",
+               hardware_concurrency);
   for (size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     std::fprintf(f,

@@ -1,5 +1,5 @@
 // CompiledPredicate: a Predicate bound once against a Schema and evaluated
-// column-at-a-time over a whole Table into a RowMask.
+// over a whole Table into a RowMask.
 //
 // The row-at-a-time Predicate::Eval re-resolves column names by string and
 // dispatches through the expression tree for every row. Compile() does all of
@@ -12,9 +12,24 @@
 //   RowMask mask = cp.EvalMask(table);         // one bit per row
 //   size_t matching = mask.Count();
 //
+// Compile() also lowers the program for the scan. Every numeric comparison
+// except != becomes a range leaf, lo <= x <= hi, and an AND of two range
+// leaves on one column (a half-open range) folds into one leaf. On an int64
+// column the bounds are exact int64 values derived once from the double
+// literal, so the scan makes one integer compare per row and never converts
+// a cell. What still compares as double: double columns (against double
+// bounds), numeric != and numeric IN. Strings compare lexicographically.
+//
+// Evaluation runs the whole tree one block at a time: a block is one column
+// chunk's share of the range, at most kChunkRows (4,096) rows or 64 mask
+// words. Leaves pack straight into the block's words, AND/OR legs meet in
+// stack scratch, and an AND whose left leg rules out a block skips its
+// right leg there.
+//
 // Semantics are bit-identical to Predicate::Eval (numeric columns compare as
 // doubles, strings lexicographically); tests/compiled_predicate_test.cc
-// enforces the equivalence on randomized schemas, tables, and trees. The one
+// enforces the equivalence on randomized schemas, tables, and trees, with
+// literals at the int64 and 2^53 edges, infinities and NaN. The one
 // deliberate difference: a predicate that is ill-typed for the schema
 // (unknown column, string/numeric mix) is rejected by Compile() with a
 // Status, where the reference evaluator aborts mid-scan — or, when
@@ -49,8 +64,8 @@ class CompiledPredicate {
   /// The schema this predicate was compiled against.
   const Schema& schema() const { return schema_; }
 
-  /// \brief 64-bit canonical structural fingerprint of the compiled program,
-  /// computed once at Compile().
+  /// \brief 64-bit canonical structural fingerprint of the compiled program
+  /// as written (before lowering), computed once at Compile().
   ///
   /// Two compilations of the same predicate — or of predicates that differ
   /// only in the parse order of commutative AND/OR legs (And(a, b) vs
@@ -97,20 +112,6 @@ class CompiledPredicate {
   /// bit packing is the same computation either way.
   void EvalRangeInto(const Table& table, size_t row_begin, size_t row_end,
                      RowMask* out) const;
-
-  /// \brief Flat-reference evaluation: the same word algebra as EvalMask,
-  /// but every leaf reads cells one at a time by global row index instead of
-  /// decomposing the range into chunk spans.
-  ///
-  /// This is the oracle the chunk-spanning fast path is pinned against
-  /// (tests/chunked_table_test.cc asserts bit-identity across chunk-edge
-  /// sizes); it is not meant for production scans.
-  RowMask EvalMaskFlat(const Table& table) const;
-
-  /// Range form of the flat reference, same alignment contract as
-  /// EvalRangeInto.
-  void EvalRangeIntoFlat(const Table& table, size_t row_begin, size_t row_end,
-                         RowMask* out) const;
 
   /// Compiled program node; public only for the implementation.
   struct Op;

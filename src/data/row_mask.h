@@ -26,7 +26,7 @@ namespace osdp {
 /// run it, so an intersection is counted in one pass with no scratch mask.
 /// On x86-64 it is compiled twice, with and without the popcnt instruction,
 /// and the loader picks the clone the CPU supports (ThreadSanitizer builds
-/// compile only the plain loop; see row_mask.cc).
+/// compile only the plain loop; see src/common/target_clones.h).
 size_t CountAndWords(const uint64_t* a, const uint64_t* b, size_t word_begin,
                      size_t word_end);
 

@@ -27,10 +27,9 @@ Result<Histogram2D> ApHourDistinctUsers(const std::vector<Trajectory>& trajs,
                   static_cast<uint64_t>(static_cast<uint32_t>(traj.day));
     for (size_t t = 0; t < traj.slots.size(); ++t) {
       const int16_t ap = traj.slots[t];
-      if (ap == kAbsent) continue;
-      if (ap < 0 || ap >= opts.num_aps) {
-        return Status::InvalidArgument("AP id outside domain");
-      }
+      // An AP id outside [0, num_aps) falls in no cell, like kAbsent: the
+      // outcome never depends on whether some slot holds such a value.
+      if (ap < 0 || ap >= opts.num_aps) continue;
       const auto hour =
           static_cast<uint64_t>(t / static_cast<size_t>(slots_per_hour));
       if (hour >= static_cast<uint64_t>(opts.hours)) continue;

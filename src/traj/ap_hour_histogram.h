@@ -24,7 +24,8 @@ struct ApHourOptions {
 };
 
 /// \brief Counts distinct users (or user-days when opts.day == -1) connected
-/// to each AP during each hour. Rows = APs, cols = hours.
+/// to each AP during each hour. Rows = APs, cols = hours. Slots holding an
+/// AP id outside [0, num_aps) are dropped: they fall in no cell.
 Result<Histogram2D> ApHourDistinctUsers(const std::vector<Trajectory>& trajs,
                                         const ApHourOptions& opts);
 

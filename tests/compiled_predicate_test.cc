@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/random.h"
+#include "src/data/chunked_column.h"
 #include "src/data/predicate.h"
 #include "src/data/row_mask.h"
 #include "src/data/schema.h"
@@ -39,18 +42,32 @@ Schema RandomSchema(Rng& rng) {
   return Schema(std::move(fields));
 }
 
-// Small pools so random predicates actually hit matching rows; the int pool
-// includes values past 2^53 to pin down the compare-as-double semantics.
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+constexpr double kTwo63 = 9223372036854775808.0;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Small pools so random predicates actually hit matching rows. Numeric
+// columns compare as double, and int64 columns are scanned against integer
+// bounds derived from those double literals, so both pools sit on the edges
+// of that derivation: 2^53 (where int64 -> double starts rounding), the int64
+// limits (which round to ±2^63), fractions, infinities, NaN and -0.0.
 const std::vector<int64_t>& IntPool() {
   static const std::vector<int64_t> kPool = {
       -4, -1, 0, 1, 2, 3, 4, 1000000007,
-      (int64_t{1} << 53) + 1, -((int64_t{1} << 53) + 3)};
+      kTwo53 - 1, kTwo53 + 1, -(kTwo53 - 1), -(kTwo53 + 1), -(kTwo53 + 3),
+      int64_t{1} << 62,
+      std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::max()};
   return kPool;
 }
 
 const std::vector<double>& DoublePool() {
-  static const std::vector<double> kPool = {-2.5, -1.0, 0.0, 0.5,
-                                            1.0,  2.25, 1e9, -3.75};
+  static const std::vector<double> kPool = {
+      -2.5, -1.0, 0.0, 0.5, 1.0, 2.25, 1e9, -3.75, 2.5, -0.5, -0.0,
+      kTwo63, -kTwo63,
+      std::nextafter(static_cast<double>(kTwo53), 0.0),   // 2^53 - 1
+      std::nextafter(static_cast<double>(kTwo53), kInf),  // 2^53 + 2
+      kInf, -kInf, std::numeric_limits<double>::quiet_NaN()};
   return kPool;
 }
 
@@ -72,9 +89,8 @@ Value RandomValueOf(ValueType type, Rng& rng) {
   return Value();
 }
 
-Table RandomTable(const Schema& schema, Rng& rng) {
+Table RandomTable(const Schema& schema, size_t rows, Rng& rng) {
   Table t(schema);
-  const size_t rows = rng.NextBounded(151);  // includes the empty table
   Row row(schema.num_fields());
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < schema.num_fields(); ++c) {
@@ -83,6 +99,10 @@ Table RandomTable(const Schema& schema, Rng& rng) {
     t.AppendRowUnchecked(row);
   }
   return t;
+}
+
+Table RandomTable(const Schema& schema, Rng& rng) {
+  return RandomTable(schema, rng.NextBounded(151), rng);  // may be empty
 }
 
 // Numeric columns may compare against int or double literals (they mix
@@ -95,11 +115,27 @@ Value RandomLiteralFor(ValueType col_type, Rng& rng) {
       rng.NextBernoulli(0.5) ? ValueType::kInt64 : ValueType::kDouble, rng);
 }
 
+// A lower and an upper bound on one column, as a range is written: Ge|Gt
+// AND Lt|Le, in either leg order. One time in four both legs share a
+// literal, which makes a single-point range (Ge, Le) or an empty one.
+Predicate RandomRangePair(const std::string& name, ValueType type, Rng& rng) {
+  const Value lo_lit = RandomLiteralFor(type, rng);
+  const Value hi_lit =
+      rng.NextBernoulli(0.25) ? lo_lit : RandomLiteralFor(type, rng);
+  Predicate lower = rng.NextBernoulli(0.5) ? Predicate::Ge(name, lo_lit)
+                                           : Predicate::Gt(name, lo_lit);
+  Predicate upper = rng.NextBernoulli(0.5) ? Predicate::Lt(name, hi_lit)
+                                           : Predicate::Le(name, hi_lit);
+  return rng.NextBernoulli(0.5)
+             ? Predicate::And(std::move(lower), std::move(upper))
+             : Predicate::And(std::move(upper), std::move(lower));
+}
+
 Predicate RandomLeaf(const Schema& schema, Rng& rng) {
   const size_t col = rng.NextBounded(schema.num_fields());
   const std::string& name = schema.field(col).name;
   const ValueType type = schema.field(col).type;
-  switch (rng.NextBounded(8)) {
+  switch (rng.NextBounded(9)) {
     case 0: return Predicate::Eq(name, RandomLiteralFor(type, rng));
     case 1: return Predicate::Ne(name, RandomLiteralFor(type, rng));
     case 2: return Predicate::Lt(name, RandomLiteralFor(type, rng));
@@ -112,6 +148,8 @@ Predicate RandomLeaf(const Schema& schema, Rng& rng) {
       for (size_t i = 0; i < n; ++i) lits.push_back(RandomLiteralFor(type, rng));
       return Predicate::In(name, std::move(lits));
     }
+    case 7:
+      return RandomRangePair(name, type, rng);
     default:
       return rng.NextBernoulli(0.5) ? Predicate::True() : Predicate::False();
   }
@@ -133,32 +171,151 @@ Predicate RandomTree(const Schema& schema, Rng& rng, int depth) {
 
 // ---------------------------------------------------------------- property ---
 
+// Compiles `pred` and checks every bit of its mask over `table` against the
+// row-at-a-time reference, plus the count (which also sees the tail bits).
+void ExpectMatchesReference(const Predicate& pred, const Schema& schema,
+                            const Table& table, int trial) {
+  Result<CompiledPredicate> compiled = CompiledPredicate::Compile(pred, schema);
+  ASSERT_TRUE(compiled.ok())
+      << "trial " << trial << ": " << pred.ToString() << " — "
+      << compiled.status().ToString();
+
+  const RowMask mask = compiled->EvalMask(table);
+  ASSERT_EQ(mask.size(), table.num_rows());
+  size_t expected_count = 0;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const bool expected = pred.Eval(table, r);
+    expected_count += expected ? 1 : 0;
+    ASSERT_EQ(mask.Test(r), expected)
+        << "trial " << trial << " row " << r << ": " << pred.ToString();
+  }
+  ASSERT_EQ(mask.Count(), expected_count) << pred.ToString();
+}
+
 TEST(CompiledPredicateProperty, BitIdenticalWithReferenceEval) {
   Rng rng(0x0511);
   for (int trial = 0; trial < 300; ++trial) {
     const Schema schema = RandomSchema(rng);
     const Table table = RandomTable(schema, rng);
     const Predicate pred = RandomTree(schema, rng, 4);
-
-    Result<CompiledPredicate> compiled =
-        CompiledPredicate::Compile(pred, schema);
-    ASSERT_TRUE(compiled.ok())
-        << "trial " << trial << ": " << pred.ToString() << " — "
-        << compiled.status().ToString();
-
-    const RowMask mask = compiled->EvalMask(table);
-    ASSERT_EQ(mask.size(), table.num_rows());
-    size_t expected_count = 0;
+    ExpectMatchesReference(pred, schema, table, trial);
+    // The materialized-Row evaluator must agree with the columnar one.
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      const bool expected = pred.Eval(table, r);
-      expected_count += expected ? 1 : 0;
-      ASSERT_EQ(mask.Test(r), expected)
-          << "trial " << trial << " row " << r << ": " << pred.ToString();
-      // The materialized-Row evaluator must agree too.
-      ASSERT_EQ(pred.Eval(schema, table.GetRow(r)), expected);
+      ASSERT_EQ(pred.Eval(schema, table.GetRow(r)), pred.Eval(table, r));
     }
-    ASSERT_EQ(mask.Count(), expected_count) << pred.ToString();
   }
+}
+
+TEST(CompiledPredicateProperty, BitIdenticalAcrossChunkEdges) {
+  // Tables that end just past a chunk edge, so evaluation runs several
+  // blocks and a partial last word.
+  Rng rng(0xB10C);
+  const size_t sizes[] = {kChunkRows - 1, kChunkRows + 1, 2 * kChunkRows + 63};
+  for (int trial = 0; trial < 24; ++trial) {
+    const Schema schema = RandomSchema(rng);
+    const Table table = RandomTable(schema, sizes[trial % 3], rng);
+    ExpectMatchesReference(RandomTree(schema, rng, 4), schema, table, trial);
+  }
+}
+
+// Cells on both sides of every literal: each int pool value and its
+// neighbours, plus the int64 values around the ±2^63 rounding boundary
+// (2^63 - 512 rounds up to 2^63, 2^63 - 513 down); each double pool value
+// and its adjacent doubles.
+Table EdgeTable() {
+  Schema schema({{"i", ValueType::kInt64}, {"d", ValueType::kDouble}});
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> ints = {kMax - 511, kMax - 512, kMax - 513,
+                               kMin + 511, kMin + 512, kMin + 513,
+                               kTwo53,     -kTwo53,    kTwo53 + 2};
+  for (int64_t v : IntPool()) {
+    for (int64_t d = -2; d <= 2; ++d) {
+      if ((d < 0 && v >= kMin - d) || (d >= 0 && v <= kMax - d)) {
+        ints.push_back(v + d);
+      }
+    }
+  }
+  std::vector<double> doubles;
+  for (double v : DoublePool()) {
+    doubles.push_back(v);
+    doubles.push_back(std::nextafter(v, -kInf));
+    doubles.push_back(std::nextafter(v, kInf));
+  }
+  Table t(schema);
+  const size_t rows = std::max(ints.size(), doubles.size());
+  for (size_t r = 0; r < rows; ++r) {
+    t.AppendRowUnchecked({Value(ints[r % ints.size()]),
+                          Value(doubles[r % doubles.size()])});
+  }
+  return t;
+}
+
+std::vector<Value> EdgeLiterals() {
+  std::vector<Value> lits;
+  for (int64_t v : IntPool()) lits.emplace_back(v);
+  for (double v : DoublePool()) lits.emplace_back(v);
+  return lits;
+}
+
+TEST(CompiledPredicateLowering, EveryComparisonAtEveryEdgeLiteral) {
+  const Table table = EdgeTable();
+  int trial = 0;
+  for (const char* col : {"i", "d"}) {
+    for (const Value& lit : EdgeLiterals()) {
+      for (const Predicate& p :
+           {Predicate::Eq(col, lit), Predicate::Ne(col, lit),
+            Predicate::Lt(col, lit), Predicate::Le(col, lit),
+            Predicate::Gt(col, lit), Predicate::Ge(col, lit)}) {
+        ExpectMatchesReference(p, table.schema(), table, trial++);
+      }
+    }
+  }
+}
+
+TEST(CompiledPredicateLowering, SameColumnRangePairsInBothLegOrders) {
+  // Every lower/upper literal pair — equal ones give single-point and empty
+  // ranges — with Ge|Gt and Lt|Le, each in both leg orders, on the int64 and
+  // the double column.
+  const Table table = EdgeTable();
+  const std::vector<Value> lits = EdgeLiterals();
+  int trial = 0;
+  for (const char* col : {"i", "d"}) {
+    for (const Value& lo : lits) {
+      for (const Value& hi : lits) {
+        for (const Predicate& lower :
+             {Predicate::Ge(col, lo), Predicate::Gt(col, lo)}) {
+          for (const Predicate& upper :
+               {Predicate::Lt(col, hi), Predicate::Le(col, hi)}) {
+            ExpectMatchesReference(Predicate::And(lower, upper),
+                                   table.schema(), table, trial++);
+            ExpectMatchesReference(Predicate::And(upper, lower),
+                                   table.schema(), table, trial++);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CompiledPredicateLowering, RangesOnDifferentColumnsStaySeparate) {
+  // An AND of ranges on two columns, including one int64 and one double
+  // column, is an intersection of rows, not of bounds.
+  Schema schema({{"a", ValueType::kInt64},
+                 {"b", ValueType::kInt64},
+                 {"c", ValueType::kDouble}});
+  Table t(schema);
+  for (int64_t r = 0; r < 200; ++r) {
+    const double c = 0.5 * static_cast<double>(r % 13);
+    t.AppendRowUnchecked({Value(r % 10), Value(r % 7), Value(c)});
+  }
+  const Predicate a_ge_3 = Predicate::Ge("a", Value(3));
+  const Predicate a_le_4 = Predicate::Le("a", Value(4));
+  const Predicate b_lt_2 = Predicate::Lt("b", Value(2));
+  const Predicate c_gt_1 = Predicate::Gt("c", Value(1.0));
+  ExpectMatchesReference(Predicate::And(a_ge_3, b_lt_2), schema, t, 0);
+  ExpectMatchesReference(Predicate::And(a_le_4, c_gt_1), schema, t, 1);
+  ExpectMatchesReference(Predicate::And(c_gt_1, a_ge_3), schema, t, 2);
 }
 
 TEST(CompiledPredicateProperty, PolicyMaskMatchesRowClassification) {

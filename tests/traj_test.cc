@@ -390,6 +390,32 @@ TEST(ApHourTest, UserDayModeCountsAcrossDays) {
   EXPECT_DOUBLE_EQ(h.At(2, 0), 2.0);
 }
 
+TEST(ApHourTest, OutOfDomainApSlotIsDropped) {
+  // The same trajectory with and without slots holding AP ids outside
+  // [0, num_aps): those slots fall in no cell, so the histograms match.
+  std::vector<int16_t> clean(12, kAbsent);
+  clean[0] = 1;
+  clean[7] = 3;
+  std::vector<int16_t> dirty = clean;
+  dirty[2] = 4;   // == num_aps
+  dirty[8] = -7;  // negative, not kAbsent
+  dirty[9] = 1000;
+  ApHourOptions opts;
+  opts.num_aps = 4;
+  opts.slots_per_day = 12;
+  opts.hours = 2;
+  opts.day = 0;
+  Result<Histogram2D> a = ApHourDistinctUsers({MakeTraj(clean, 0)}, opts);
+  Result<Histogram2D> b = ApHourDistinctUsers({MakeTraj(dirty, 0)}, opts);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a->flat().size(), b->flat().size());
+  for (size_t i = 0; i < a->flat().size(); ++i) {
+    EXPECT_DOUBLE_EQ(a->flat()[i], b->flat()[i]) << "cell " << i;
+  }
+  EXPECT_DOUBLE_EQ(b->flat().Total(), 2.0);
+}
+
 TEST(ApHourTest, ValidatesDivisibility) {
   ApHourOptions opts;
   opts.slots_per_day = 10;
