@@ -44,6 +44,7 @@ Result<OsdpEngine> OsdpEngine::Create(Table data, Policy policy,
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("engine needs a non-empty dataset");
   }
+  OSDP_RETURN_IF_ERROR(policy.TypeCheck(data.schema()));
   return OsdpEngine(std::move(data), std::move(policy), options);
 }
 

@@ -47,7 +47,8 @@ class OsdpEngine {
 
   /// Takes ownership of the data; `policy` marks sensitive records.
   /// InvalidArgument for an empty dataset or a non-positive or non-finite
-  /// total_epsilon.
+  /// total_epsilon; the policy's TypeCheck status if it does not type-check
+  /// against the data's schema.
   static Result<OsdpEngine> Create(Table data, Policy policy, Options options);
 
   /// \brief Runs `mechanism` over precomputed histograms with the caller's

@@ -70,6 +70,7 @@ Result<TwoPhaseMechanism::Output> AGrid(const Histogram& x, double epsilon,
 
   Histogram estimate(x.size());
   BinGroups groups;
+  groups.label.resize(x.size());
   const double scale1 = 2.0 / eps1;
   const double scale2 = 2.0 / eps2;
   const double c2 = std::sqrt(2.0) * opts.granularity_c;
@@ -92,15 +93,13 @@ Result<TwoPhaseMechanism::Output> AGrid(const Histogram& x, double epsilon,
           if (opts.clamp_non_negative) noisy2 = std::max(noisy2, 0.0);
           const double bins =
               static_cast<double>((fr1 - fr0) * (fc1 - fc0));
-          std::vector<uint32_t> group;
-          group.reserve(static_cast<size_t>(bins));
           for (size_t r = fr0; r < fr1; ++r) {
             for (size_t c = fc0; c < fc1; ++c) {
               estimate[r * opts.cols + c] = noisy2 / bins;
-              group.push_back(static_cast<uint32_t>(r * opts.cols + c));
+              groups.label[r * opts.cols + c] = groups.num_groups;
             }
           }
-          groups.push_back(std::move(group));
+          ++groups.num_groups;
         }
       }
     }

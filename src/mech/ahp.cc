@@ -38,31 +38,32 @@ Result<TwoPhaseMechanism::Output> Ahp(const Histogram& x, double epsilon,
     return noisy[a] < noisy[b];
   });
 
+  // Clusters are runs of the value-sorted `order`, grown while their spread
+  // stays under spread_cap.
+  // ---- Phase 2: noisy cluster totals, uniform within cluster. ----
+  // A cluster's total is drawn as soon as the cluster closes, so the noise
+  // draws come in cluster order.
   const double spread_cap = 2.0 * (2.0 / eps2);
+  const double scale2 = 2.0 / eps2;
+  Histogram estimate(d);
   BinGroups groups;
+  groups.label.resize(d);
   size_t i = 0;
   while (i < d) {
-    std::vector<uint32_t> group = {order[i]};
     const double base = noisy[order[i]];
     size_t j = i + 1;
-    while (j < d && noisy[order[j]] - base <= spread_cap) {
-      group.push_back(order[j]);
-      ++j;
-    }
-    groups.push_back(std::move(group));
-    i = j;
-  }
-
-  // ---- Phase 2: noisy cluster totals, uniform within cluster. ----
-  Histogram estimate(d);
-  const double scale2 = 2.0 / eps2;
-  for (const auto& group : groups) {
+    while (j < d && noisy[order[j]] - base <= spread_cap) ++j;
     double total = 0.0;
-    for (uint32_t bin : group) total += x[bin];
+    for (size_t k = i; k < j; ++k) total += x[order[k]];
     double noisy_total = total + SampleLaplace(rng, scale2);
     if (opts.clamp_non_negative) noisy_total = std::max(noisy_total, 0.0);
-    const double per_bin = noisy_total / static_cast<double>(group.size());
-    for (uint32_t bin : group) estimate[bin] = per_bin;
+    const double per_bin = noisy_total / static_cast<double>(j - i);
+    for (size_t k = i; k < j; ++k) {
+      estimate[order[k]] = per_bin;
+      groups.label[order[k]] = groups.num_groups;
+    }
+    ++groups.num_groups;
+    i = j;
   }
   return TwoPhaseMechanism::Output{std::move(estimate), std::move(groups)};
 }

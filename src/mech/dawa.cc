@@ -171,7 +171,7 @@ Result<DawaResult> Dawa(const Histogram& x, double epsilon,
   const double noise_dev_per_bin = stage1_scale;
   const double bucket_charge = 2.0 / eps2;
   std::vector<DawaBucket> buckets =
-      SolveWithImpl(noisy, pos, opts.cost_impl, opts.pool,
+      SolveWithImpl(noisy, pos, DawaCostImpl::kAuto, opts.pool,
                     [&](double dev, size_t len) {
         return std::max(0.0,
                         dev - static_cast<double>(len) * noise_dev_per_bin) +
@@ -197,14 +197,6 @@ Result<DawaResult> Dawa(const Histogram& x, double epsilon,
 
 Result<DawaResult> Dawa(const Histogram& x, double epsilon, Rng& rng) {
   return Dawa(x, epsilon, DawaOptions{}, rng);
-}
-
-PrivacyGuarantee DawaGuarantee(double epsilon) {
-  PrivacyGuarantee g;
-  g.model = PrivacyModel::kDP;
-  g.epsilon = epsilon;
-  g.exclusion_attack_phi = epsilon;
-  return g;
 }
 
 }  // namespace osdp

@@ -38,7 +38,6 @@
 #include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/hist/histogram.h"
-#include "src/mech/guarantee.h"
 
 namespace osdp {
 
@@ -52,6 +51,8 @@ enum class DawaPositions {
 };
 
 /// How candidate interval costs are evaluated inside the partition DP.
+/// Dawa() always resolves kAuto; SolveL1Partition takes an explicit choice
+/// so tests and benches can pin the two implementations against each other.
 enum class DawaCostImpl {
   kAuto = 0,    ///< engine for kEvery at d >= 1024, naive otherwise
   kNaive = 1,   ///< per-interval O(len) scan — the reference implementation
@@ -64,8 +65,6 @@ struct DawaOptions {
   double partition_budget_ratio = 0.25;
   /// Candidate-interval enumeration strategy.
   DawaPositions positions = DawaPositions::kAuto;
-  /// Interval-cost evaluation strategy for the partition DP.
-  DawaCostImpl cost_impl = DawaCostImpl::kAuto;
   /// Clamp negative bin estimates to zero (post-processing).
   bool clamp_non_negative = true;
   /// Pool for the deterministic parts of the mechanism (currently the
@@ -96,9 +95,6 @@ Result<DawaResult> Dawa(const Histogram& x, double epsilon,
 
 /// Convenience overload with default options.
 Result<DawaResult> Dawa(const Histogram& x, double epsilon, Rng& rng);
-
-/// The guarantee of a DAWA release (DP; φ = ε by Theorem 3.1).
-PrivacyGuarantee DawaGuarantee(double epsilon);
 
 /// The partition DP's full answer: the buckets plus the optimal objective
 /// value Σ_B [ dev(B) + bucket_charge ], exposed so the property tests can

@@ -1,20 +1,16 @@
-// DAWAz (Algorithm 3): the paper's recipe (Section 5.2) instantiated on DAWA.
+// DAWAz (Algorithm 3): the paper's recipe (Section 5.2, mech/recipe.h)
+// applied to DAWA — ApplyOsdpRecipe over MakeDawaTwoPhase(opts.dawa).
 //
 //   1. Spend ε₁ = ρ·ε on an OSDP zero-bin detector over x_ns (OsdpRR in the
 //      paper's experiments; OsdpLaplaceL1 also offered here).
 //   2. Spend ε₂ = (1-ρ)·ε running DAWA on the full histogram x.
 //   3. Post-process: zero every bin the detector says is empty, then within
 //      each DAWA bucket rescale the surviving bins so the bucket keeps its
-//      noisy total mass.
+//      noisy total mass (with the corrected ratio noted in recipe.h).
 //
 // Satisfies (P, ε)-OSDP by sequential composition (Theorem 5.3): the zero
 // detector is (P, ρε)-OSDP, DAWA is (1-ρ)ε-DP — hence (P, (1-ρ)ε)-OSDP by
-// Lemma 3.1 — and steps 3 is post-processing.
-//
-// Note on Algorithm 3 line 9: the paper prints rescale_ratio = |B| / |Z∩B|,
-// which would blow up as zeros vanish; mass preservation requires dividing
-// the bucket's mass over the *surviving* bins, i.e. |B| / (|B| - |Z∩B|).
-// We implement the corrected ratio (and zero the bucket when every bin died).
+// Lemma 3.1 — and step 3 is post-processing.
 
 #ifndef OSDP_MECH_DAWAZ_H_
 #define OSDP_MECH_DAWAZ_H_
@@ -23,7 +19,6 @@
 #include "src/common/result.h"
 #include "src/hist/histogram.h"
 #include "src/mech/dawa.h"
-#include "src/mech/guarantee.h"
 
 namespace osdp {
 
@@ -53,9 +48,6 @@ Result<Histogram> Dawaz(const Histogram& x, const Histogram& xns,
 /// Convenience overload with default options (ρ = 0.1, OsdpRR detector).
 Result<Histogram> Dawaz(const Histogram& x, const Histogram& xns,
                         double epsilon, Rng& rng);
-
-/// The guarantee of a DAWAz release (OSDP at the full ε; φ = ε).
-PrivacyGuarantee DawazGuarantee(double epsilon, const std::string& policy_name);
 
 }  // namespace osdp
 

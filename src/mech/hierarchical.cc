@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "src/accounting/budget.h"
@@ -109,8 +110,7 @@ Result<TwoPhaseMechanism::Output> HierarchicalRelease(
   // its children. The GLS projection onto Σ children = parent corrects each
   // child proportionally to its subtree variance (noisier children absorb
   // more of the discrepancy); with equal child variances — every balanced
-  // tree — this reduces to the equal split, which is kept as a reference
-  // option.
+  // tree — this reduces to the equal split.
   for (Node& node : arena) {
     if (node.children.empty()) continue;
     double child_sum = 0.0;
@@ -120,21 +120,12 @@ Result<TwoPhaseMechanism::Output> HierarchicalRelease(
       var_sum += variance[c];
     }
     const double residual = node.estimate - child_sum;
-    if (opts.residual_split == ResidualSplit::kVarianceWeighted &&
-        var_sum > 0.0) {
-      for (size_t c : node.children) {
-        arena[c].estimate += residual * (variance[c] / var_sum);
-      }
-    } else {
-      const double share =
-          residual / static_cast<double>(node.children.size());
-      for (size_t c : node.children) arena[c].estimate += share;
+    for (size_t c : node.children) {
+      arena[c].estimate += residual * (variance[c] / var_sum);
     }
   }
 
   Histogram estimate(d);
-  BinGroups groups;
-  groups.reserve(d);
   for (const Node& node : arena) {
     if (!node.children.empty()) continue;
     OSDP_CHECK(node.end - node.begin == 1);
@@ -142,7 +133,10 @@ Result<TwoPhaseMechanism::Output> HierarchicalRelease(
     if (opts.clamp_non_negative) v = std::max(v, 0.0);
     estimate[node.begin] = v;
   }
-  for (uint32_t i = 0; i < d; ++i) groups.push_back({i});
+  BinGroups groups;
+  groups.label.resize(d);
+  std::iota(groups.label.begin(), groups.label.end(), 0u);
+  groups.num_groups = static_cast<uint32_t>(d);
   return TwoPhaseMechanism::Output{std::move(estimate), std::move(groups)};
 }
 

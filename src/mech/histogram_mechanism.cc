@@ -5,6 +5,7 @@
 #include "src/mech/laplace.h"
 #include "src/mech/osdp_laplace.h"
 #include "src/mech/osdp_rr.h"
+#include "src/mech/recipe.h"
 
 namespace osdp {
 
@@ -23,26 +24,6 @@ class LaplaceHistogramMechanism final : public HistogramMechanism {
                         double epsilon, Rng& rng) const override {
     return LaplaceMechanism(x, epsilon, rng);
   }
-};
-
-class DawaHistogramMechanism final : public HistogramMechanism {
- public:
-  explicit DawaHistogramMechanism(DawaOptions opts) : opts_(opts) {}
-  const std::string& name() const override {
-    static const std::string kName = "DAWA";
-    return kName;
-  }
-  PrivacyGuarantee Guarantee(double epsilon) const override {
-    return DawaGuarantee(epsilon);
-  }
-  Result<Histogram> Run(const Histogram& x, const Histogram& /*xns*/,
-                        double epsilon, Rng& rng) const override {
-    OSDP_ASSIGN_OR_RETURN(DawaResult r, Dawa(x, epsilon, opts_, rng));
-    return std::move(r.estimate);
-  }
-
- private:
-  DawaOptions opts_;
 };
 
 class OsdpRRHistogramMechanism final : public HistogramMechanism {
@@ -88,25 +69,6 @@ class OsdpLaplaceL1HistogramMechanism final : public HistogramMechanism {
                         double epsilon, Rng& rng) const override {
     return OsdpLaplaceL1(xns, epsilon, rng);
   }
-};
-
-class DawazHistogramMechanism final : public HistogramMechanism {
- public:
-  explicit DawazHistogramMechanism(DawazOptions opts) : opts_(opts) {}
-  const std::string& name() const override {
-    static const std::string kName = "DAWAz";
-    return kName;
-  }
-  PrivacyGuarantee Guarantee(double epsilon) const override {
-    return DawazGuarantee(epsilon, /*policy_name=*/"P");
-  }
-  Result<Histogram> Run(const Histogram& x, const Histogram& xns,
-                        double epsilon, Rng& rng) const override {
-    return Dawaz(x, xns, epsilon, opts_, rng);
-  }
-
- private:
-  DawazOptions opts_;
 };
 
 class SuppressHistogramMechanism final : public HistogramMechanism {
@@ -161,7 +123,7 @@ std::unique_ptr<HistogramMechanism> MakeLaplaceMechanism() {
 }
 
 std::unique_ptr<HistogramMechanism> MakeDawaMechanism(DawaOptions opts) {
-  return std::make_unique<DawaHistogramMechanism>(opts);
+  return MakeTwoPhaseDpMechanism(MakeDawaTwoPhase(opts));
 }
 
 std::unique_ptr<HistogramMechanism> MakeOsdpRRMechanism() {
@@ -177,7 +139,9 @@ std::unique_ptr<HistogramMechanism> MakeOsdpLaplaceL1Mechanism() {
 }
 
 std::unique_ptr<HistogramMechanism> MakeDawazMechanism(DawazOptions opts) {
-  return std::make_unique<DawazHistogramMechanism>(opts);
+  return MakeRecipeMechanism(
+      MakeDawaTwoPhase(opts.dawa),
+      RecipeOptions{opts.zero_budget_ratio, opts.detector});
 }
 
 std::unique_ptr<HistogramMechanism> MakeSuppressMechanism(double tau) {

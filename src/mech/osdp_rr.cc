@@ -17,6 +17,7 @@ Result<std::vector<size_t>> OsdpRRSelect(const Table& table,
   if (!IsValidEpsilon(epsilon)) {
     return Status::InvalidArgument("epsilon must be positive and finite");
   }
+  OSDP_RETURN_IF_ERROR(policy.TypeCheck(table.schema()));
   const double p = OsdpRRReleaseProbability(epsilon);
   // Batch-classify once, then draw one Bernoulli per non-sensitive row —
   // the same coin sequence as the old row-at-a-time loop.

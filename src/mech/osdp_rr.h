@@ -26,7 +26,8 @@ double OsdpRRReleaseProbability(double epsilon);
 ///
 /// The output is a *true sample* — every released row is unmodified — which
 /// is what enables downstream tasks that need real records (classification,
-/// extractive summaries, huge-domain histograms; Section 4).
+/// extractive summaries, huge-domain histograms; Section 4). Returns the
+/// policy's TypeCheck status if it does not type-check against the table.
 Result<std::vector<size_t>> OsdpRRSelect(const Table& table,
                                          const Policy& policy, double epsilon,
                                          Rng& rng);

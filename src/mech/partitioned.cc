@@ -23,6 +23,7 @@ Result<PartitionedRelease> PartitionedHistogramRelease(
     }
   }
 
+  OSDP_RETURN_IF_ERROR(policy.TypeCheck(table.schema()));
   const RowMask ns_mask = policy.NonSensitiveRowMask(table);
   PartitionedRelease out;
   out.partitions.reserve(opts.num_partitions);

@@ -45,7 +45,8 @@ struct PartitionedReleaseOptions {
 
 /// \brief Answers `query` within every partition via OsdpLaplaceL1 on the
 /// partition's non-sensitive rows. Satisfies (P, ε)-eOSDP with
-/// ε = epsilon_per_partition, hence (P, 2ε)-OSDP.
+/// ε = epsilon_per_partition, hence (P, 2ε)-OSDP. Returns the policy's
+/// TypeCheck status if it does not type-check against the table.
 Result<PartitionedRelease> PartitionedHistogramRelease(
     const Table& table, const Policy& policy, const HistogramQuery& query,
     const PartitionedReleaseOptions& opts, Rng& rng);

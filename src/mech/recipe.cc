@@ -53,19 +53,24 @@ Result<Histogram> ApplyOsdpRecipe(const TwoPhaseMechanism& base,
                         base.Run(x, eps2, rng));
   OSDP_RETURN_IF_ERROR(ValidateBinGroups(out.groups, x.size()));
 
-  // Step 3: zero + group-wise mass reallocation (post-processing).
+  // Step 3: zero + group-wise mass reallocation (post-processing). A
+  // surviving bin of a group that lost `zeroed` of its `size` bins is scaled
+  // by size / (size - zeroed); a group with no zeroed bin keeps its values.
+  const std::vector<uint32_t>& label = out.groups.label;
+  std::vector<uint32_t> size(out.groups.num_groups, 0);
+  std::vector<uint32_t> zeroed(out.groups.num_groups, 0);
+  for (size_t i = 0; i < x.size(); ++i) {
+    ++size[label[i]];
+    if (zero[i]) ++zeroed[label[i]];
+  }
   Histogram est = std::move(out.estimate);
   for (size_t i = 0; i < est.size(); ++i) {
-    if (zero[i]) est[i] = 0.0;
-  }
-  for (const auto& group : out.groups) {
-    size_t zeroed = 0;
-    for (uint32_t bin : group) zeroed += zero[bin] ? 1 : 0;
-    if (zeroed == 0 || zeroed == group.size()) continue;
-    const double ratio = static_cast<double>(group.size()) /
-                         static_cast<double>(group.size() - zeroed);
-    for (uint32_t bin : group) {
-      if (!zero[bin]) est[bin] *= ratio;
+    const uint32_t g = label[i];
+    if (zero[i]) {
+      est[i] = 0.0;
+    } else if (zeroed[g] != 0) {
+      est[i] *= static_cast<double>(size[g]) /
+                static_cast<double>(size[g] - zeroed[g]);
     }
   }
   return est;
@@ -100,20 +105,9 @@ class RecipeMechanism final : public HistogramMechanism {
   std::string name_;
 };
 
-}  // namespace
-
-std::unique_ptr<HistogramMechanism> MakeRecipeMechanism(
-    std::unique_ptr<TwoPhaseMechanism> base, RecipeOptions opts) {
-  return std::make_unique<RecipeMechanism>(std::move(base), opts);
-}
-
-namespace {
-
-// Adapts a bare TwoPhaseMechanism (DP) to the HistogramMechanism interface
-// so the extended suite can score the recipe against its own base.
-class TwoPhaseAsHistogramMechanism final : public HistogramMechanism {
+class TwoPhaseDpMechanism final : public HistogramMechanism {
  public:
-  explicit TwoPhaseAsHistogramMechanism(std::unique_ptr<TwoPhaseMechanism> base)
+  explicit TwoPhaseDpMechanism(std::unique_ptr<TwoPhaseMechanism> base)
       : base_(std::move(base)) {}
   const std::string& name() const override { return base_->name(); }
   PrivacyGuarantee Guarantee(double epsilon) const override {
@@ -136,12 +130,20 @@ class TwoPhaseAsHistogramMechanism final : public HistogramMechanism {
 
 }  // namespace
 
+std::unique_ptr<HistogramMechanism> MakeRecipeMechanism(
+    std::unique_ptr<TwoPhaseMechanism> base, RecipeOptions opts) {
+  return std::make_unique<RecipeMechanism>(std::move(base), opts);
+}
+
+std::unique_ptr<HistogramMechanism> MakeTwoPhaseDpMechanism(
+    std::unique_ptr<TwoPhaseMechanism> base) {
+  return std::make_unique<TwoPhaseDpMechanism>(std::move(base));
+}
+
 std::vector<std::unique_ptr<HistogramMechanism>> ExtendedSuite() {
   std::vector<std::unique_ptr<HistogramMechanism>> suite = StandardSuite();
-  suite.push_back(std::make_unique<TwoPhaseAsHistogramMechanism>(
-      MakeAhpTwoPhase()));
-  suite.push_back(std::make_unique<TwoPhaseAsHistogramMechanism>(
-      MakeHierarchicalTwoPhase()));
+  suite.push_back(MakeTwoPhaseDpMechanism(MakeAhpTwoPhase()));
+  suite.push_back(MakeTwoPhaseDpMechanism(MakeHierarchicalTwoPhase()));
   suite.push_back(MakeRecipeMechanism(MakeAhpTwoPhase()));
   suite.push_back(MakeRecipeMechanism(MakeHierarchicalTwoPhase()));
   return suite;

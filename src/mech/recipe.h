@@ -10,6 +10,12 @@
 // (P, ε)-OSDP. DAWAz (mech/dawaz.h) is this recipe instantiated on DAWA; the
 // paper leaves other instantiations as future work — AHPz and Hierarchicalz
 // fall out of this module for free.
+//
+// Note on Algorithm 3 line 9: the paper prints rescale_ratio = |B| / |Z∩B|,
+// which would blow up as zeros vanish; mass preservation requires dividing
+// the group's mass over the *surviving* bins, i.e. |B| / (|B| - |Z∩B|).
+// We implement the corrected ratio (and leave a group at zero when every
+// bin in it was detected empty).
 
 #ifndef OSDP_MECH_RECIPE_H_
 #define OSDP_MECH_RECIPE_H_
@@ -43,6 +49,11 @@ Result<Histogram> ApplyOsdpRecipe(const TwoPhaseMechanism& base,
 /// "<base>z" (so MakeRecipeMechanism(MakeAhpTwoPhase()) is "AHPz").
 std::unique_ptr<HistogramMechanism> MakeRecipeMechanism(
     std::unique_ptr<TwoPhaseMechanism> base, RecipeOptions opts = {});
+
+/// \brief Wraps a two-phase algorithm as the ε-DP HistogramMechanism it is
+/// on its own: runs it on x and drops the grouping. Named after the base.
+std::unique_ptr<HistogramMechanism> MakeTwoPhaseDpMechanism(
+    std::unique_ptr<TwoPhaseMechanism> base);
 
 }  // namespace osdp
 

@@ -9,6 +9,12 @@
 // Implementations expose the learned *grouping* of bins alongside the
 // estimate so the OSDP recipe (mech/recipe.h) can post-process: zero out the
 // detected-empty bins and reallocate each group's mass to its survivors.
+//
+// A grouping is stored as one dense label per bin rather than as a list of
+// member bins per group: every bin carries exactly one label by
+// construction, so a grouping cannot overlap or leave a bin out, and
+// building one costs a single d-element allocation whatever the number of
+// groups (the hierarchical release has d singleton groups).
 
 #ifndef OSDP_MECH_TWO_PHASE_H_
 #define OSDP_MECH_TWO_PHASE_H_
@@ -21,11 +27,17 @@
 #include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/hist/histogram.h"
+#include "src/mech/dawa.h"
 
 namespace osdp {
 
 /// A learned grouping: each group's bins received a shared aggregate.
-using BinGroups = std::vector<std::vector<uint32_t>>;
+/// `label[i]` is the group of bin i, in [0, num_groups); every label in that
+/// range names at least one bin.
+struct BinGroups {
+  std::vector<uint32_t> label;
+  uint32_t num_groups = 0;
+};
 
 /// \brief An ε-DP histogram algorithm with a learn-then-noise structure.
 class TwoPhaseMechanism {
@@ -35,8 +47,8 @@ class TwoPhaseMechanism {
   /// Display name ("DAWA", "AHP", "Hierarchical").
   virtual const std::string& name() const = 0;
 
-  /// The run's estimate plus the grouping its model induced. Groups must
-  /// tile [0, x.size()) exactly (every bin in exactly one group).
+  /// The run's estimate plus the grouping its model induced, with one
+  /// label per bin of x.
   struct Output {
     Histogram estimate;
     BinGroups groups;
@@ -47,12 +59,13 @@ class TwoPhaseMechanism {
                              Rng& rng) const = 0;
 };
 
-/// Validates that `groups` tiles [0, bins) exactly.
+/// Validates that `groups` labels exactly `bins` bins, every label is below
+/// num_groups, and no group is empty.
 Status ValidateBinGroups(const BinGroups& groups, size_t bins);
 
-/// DAWA (mech/dawa.h) exposed through the two-phase interface; buckets
-/// become contiguous groups.
-std::unique_ptr<TwoPhaseMechanism> MakeDawaTwoPhase();
+/// DAWA (mech/dawa.h) run with `opts`, exposed through the two-phase
+/// interface; bucket k becomes group k, so groups are contiguous.
+std::unique_ptr<TwoPhaseMechanism> MakeDawaTwoPhase(DawaOptions opts = {});
 
 }  // namespace osdp
 

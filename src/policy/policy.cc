@@ -23,20 +23,30 @@ bool Policy::IsSensitive(const Schema& schema, const Row& record) const {
   return sensitive_.Eval(schema, record);
 }
 
-std::shared_ptr<const CompiledPredicate> Policy::CompiledFor(
+Result<std::shared_ptr<const CompiledPredicate>> Policy::TryCompiledFor(
     const Schema& schema) const {
   std::shared_ptr<const CompiledPredicate> cached = compiled_cache_;
   if (cached == nullptr || !(cached->schema() == schema)) {
-    Result<CompiledPredicate> compiled =
-        CompiledPredicate::Compile(sensitive_, schema);
-    OSDP_CHECK_MSG(compiled.ok(), "policy '" << name_
-                                             << "' does not type-check: "
-                                             << compiled.status().ToString());
-    cached = std::make_shared<const CompiledPredicate>(
-        std::move(compiled).ValueOrDie());
+    OSDP_ASSIGN_OR_RETURN(CompiledPredicate compiled,
+                          CompiledPredicate::Compile(sensitive_, schema));
+    cached = std::make_shared<const CompiledPredicate>(std::move(compiled));
     compiled_cache_ = cached;
   }
   return cached;
+}
+
+std::shared_ptr<const CompiledPredicate> Policy::CompiledFor(
+    const Schema& schema) const {
+  Result<std::shared_ptr<const CompiledPredicate>> compiled =
+      TryCompiledFor(schema);
+  OSDP_CHECK_MSG(compiled.ok(), "policy '" << name_
+                                           << "' does not type-check: "
+                                           << compiled.status().ToString());
+  return std::move(compiled).ValueOrDie();
+}
+
+Status Policy::TypeCheck(const Schema& schema) const {
+  return TryCompiledFor(schema).status();
 }
 
 RowMask Policy::SensitiveMask(const Table& table) const {

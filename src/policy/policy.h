@@ -52,6 +52,12 @@ class Policy {
   }
   /// @}
 
+  /// \brief Compiles the sensitivity predicate against `schema` (and caches
+  /// it): NotFound for an unknown column, InvalidArgument for a literal of
+  /// the wrong type. The whole-table methods below abort on a policy that
+  /// does not type-check, so Result-returning callers check first.
+  Status TypeCheck(const Schema& schema) const;
+
   /// mask bit set iff the row is sensitive (batch classification; compiled
   /// predicate, column-at-a-time).
   RowMask SensitiveMask(const Table& table) const;
@@ -97,9 +103,13 @@ class Policy {
 
   /// The sensitivity predicate compiled for `schema`, cached. Returned by
   /// shared_ptr so the program stays alive even if the one-slot cache is
-  /// swapped for a different schema. Aborts if the predicate does not
-  /// type-check against the schema — the same contract as the row-at-a-time
-  /// evaluator (wrong-schema policy = programming error).
+  /// swapped for a different schema.
+  Result<std::shared_ptr<const CompiledPredicate>> TryCompiledFor(
+      const Schema& schema) const;
+
+  /// TryCompiledFor that aborts if the predicate does not type-check — the
+  /// same contract as the row-at-a-time evaluator (wrong-schema policy =
+  /// programming error; see TypeCheck).
   std::shared_ptr<const CompiledPredicate> CompiledFor(
       const Schema& schema) const;
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "src/common/check.h"
 #include "src/eval/metrics.h"
 #include "src/mech/agrid.h"
@@ -48,21 +52,57 @@ TEST(AGridTest, AdaptiveRefinementFocusesOnDenseCells) {
   Histogram x = HotspotGrid(64, 64, 5.0);
   Rng rng(2);
   TwoPhaseMechanism::Output out = *AGrid(x, 0.5, Opts(64, 64), rng);
+  ASSERT_TRUE(ValidateBinGroups(out.groups, x.size()).ok());
+  std::vector<size_t> size(out.groups.num_groups, 0);
+  std::vector<bool> has_mass(out.groups.num_groups, false);
+  for (size_t i = 0; i < x.size(); ++i) {
+    ++size[out.groups.label[i]];
+    if (x[i] > 0.0) has_mass[out.groups.label[i]] = true;
+  }
   double dense_sizes = 0.0, dense_n = 0.0, empty_sizes = 0.0, empty_n = 0.0;
-  for (const auto& group : out.groups) {
-    bool dense = false;
-    for (uint32_t bin : group) dense |= x[bin] > 0.0;
-    if (dense) {
-      dense_sizes += static_cast<double>(group.size());
+  for (uint32_t g = 0; g < out.groups.num_groups; ++g) {
+    if (has_mass[g]) {
+      dense_sizes += static_cast<double>(size[g]);
       dense_n += 1;
     } else {
-      empty_sizes += static_cast<double>(group.size());
+      empty_sizes += static_cast<double>(size[g]);
       empty_n += 1;
     }
   }
   ASSERT_GT(dense_n, 0.0);
   ASSERT_GT(empty_n, 0.0);
   EXPECT_LT(dense_sizes / dense_n, empty_sizes / empty_n);
+}
+
+TEST(AGridTest, GroupsAreFineCellRectanglesSharingOneEstimate) {
+  // Each label names one fine cell: its bins fill their bounding rectangle
+  // of the row-major grid exactly and all carry the cell's estimate.
+  const size_t rows = 37, cols = 23;  // uneven splits at both levels
+  Histogram x = HotspotGrid(rows, cols, 50.0);
+  Rng rng(8);
+  TwoPhaseMechanism::Output out = *AGrid(x, 1.0, Opts(rows, cols), rng);
+  ASSERT_TRUE(ValidateBinGroups(out.groups, x.size()).ok());
+  EXPECT_GT(out.groups.num_groups, 4u);
+  struct Box {
+    size_t r0 = SIZE_MAX, r1 = 0, c0 = SIZE_MAX, c1 = 0, bins = 0;
+    double value = -1.0;
+  };
+  std::vector<Box> boxes(out.groups.num_groups);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      Box& b = boxes[out.groups.label[r * cols + c]];
+      b.r0 = std::min(b.r0, r);
+      b.r1 = std::max(b.r1, r + 1);
+      b.c0 = std::min(b.c0, c);
+      b.c1 = std::max(b.c1, c + 1);
+      ++b.bins;
+      if (b.value < 0.0) b.value = out.estimate[r * cols + c];
+      EXPECT_DOUBLE_EQ(out.estimate[r * cols + c], b.value);
+    }
+  }
+  for (const Box& b : boxes) {
+    EXPECT_EQ(b.bins, (b.r1 - b.r0) * (b.c1 - b.c0));
+  }
 }
 
 TEST(AGridTest, BeatsLaplaceOnConcentrated2D) {

@@ -161,6 +161,18 @@ TEST(PartitionedTest, Validation) {
   opts.epsilon_per_partition = 0.0;
   EXPECT_FALSE(
       PartitionedHistogramRelease(data, policy, query, opts, rng).ok());
+  opts.epsilon_per_partition = 1.0;
+  // A policy that does not type-check is a Status, not an abort.
+  const Policy unknown =
+      Policy::SensitiveWhen(Predicate::Eq("no_such_column", Value(0)));
+  EXPECT_EQ(PartitionedHistogramRelease(data, unknown, query, opts, rng)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  const Policy mixed = Policy::SensitiveWhen(Predicate::Eq("age", Value("x")));
+  EXPECT_EQ(
+      PartitionedHistogramRelease(data, mixed, query, opts, rng).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

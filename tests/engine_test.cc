@@ -46,6 +46,24 @@ TEST(EngineTest, CreateValidates) {
   EXPECT_TRUE(OsdpEngine::Create(MakeData(), OptOutSensitive(), opts).ok());
 }
 
+TEST(EngineTest, CreateRejectsAPolicyThatDoesNotTypeCheck) {
+  // A policy on a missing column, or one comparing a numeric column with a
+  // string, is refused with the compiler's Status instead of aborting.
+  const OsdpEngine::Options opts;
+  const auto unknown = OsdpEngine::Create(
+      MakeData(), Policy::SensitiveWhen(Predicate::Eq("no_such_column",
+                                                      Value(1))),
+      opts);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  const auto mixed = OsdpEngine::Create(
+      MakeData(),
+      Policy::SensitiveWhen(Predicate::Eq("opt_in", Value(std::string("no")))),
+      opts);
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(EngineTest, RunMechanismIsDeterministicForEveryMechanism) {
   // Two engines over the same data, each mechanism driven by same-seeded
   // Rngs: bit-identical releases of the right shape. The engine holds no

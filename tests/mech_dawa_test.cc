@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/accounting/budget.h"
 #include "src/common/random.h"
 #include "src/eval/metrics.h"
 #include "src/mech/dawa.h"
@@ -14,6 +15,9 @@
 #include "src/mech/histogram_mechanism.h"
 #include "src/mech/interval_costs.h"
 #include "src/mech/laplace.h"
+#include "src/mech/osdp_laplace.h"
+#include "src/mech/osdp_rr.h"
+#include "src/runtime/thread_pool.h"
 
 namespace osdp {
 namespace {
@@ -274,7 +278,7 @@ TEST(DawaTest, EstimateIsConstantWithinBuckets) {
 }
 
 TEST(DawaTest, GuaranteeIsDp) {
-  PrivacyGuarantee g = DawaGuarantee(0.4);
+  PrivacyGuarantee g = MakeDawaMechanism()->Guarantee(0.4);
   EXPECT_EQ(g.model, PrivacyModel::kDP);
   EXPECT_DOUBLE_EQ(g.exclusion_attack_phi, 0.4);
 }
@@ -285,6 +289,113 @@ Histogram SparseTruth(size_t d) {
   Histogram x(d);
   for (size_t i = 0; i < d; i += 16) x[i] = 500.0;
   return x;
+}
+
+// Reference oracle: Algorithm 3 written out directly over DAWA's buckets,
+// with no two-phase adapter, group labels or recipe in between.
+Result<Histogram> ReferenceDawaz(const Histogram& x, const Histogram& xns,
+                                 double epsilon, const DawazOptions& opts,
+                                 Rng& rng) {
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
+  if (opts.zero_budget_ratio <= 0.0 || opts.zero_budget_ratio >= 1.0) {
+    return Status::InvalidArgument("zero_budget_ratio must be in (0,1)");
+  }
+  if (x.size() != xns.size()) {
+    return Status::InvalidArgument("x and xns must have equal size");
+  }
+  OSDP_RETURN_IF_ERROR(x.ValidateNonNegative());
+  OSDP_RETURN_IF_ERROR(xns.ValidateNonNegative());
+  if (!xns.DominatedBy(x)) {
+    return Status::InvalidArgument("xns must be dominated by x per bin");
+  }
+  const double eps1 = opts.zero_budget_ratio * epsilon;
+  const double eps2 = epsilon - eps1;
+  Histogram detector_out(0);
+  switch (opts.detector) {
+    case DawazZeroDetector::kOsdpRR: {
+      OSDP_ASSIGN_OR_RETURN(detector_out, OsdpRRHistogram(xns, eps1, rng));
+      break;
+    }
+    case DawazZeroDetector::kOsdpLaplaceL1: {
+      OSDP_ASSIGN_OR_RETURN(detector_out, OsdpLaplaceL1(xns, eps1, rng));
+      break;
+    }
+  }
+  std::vector<bool> zero(x.size());
+  for (size_t i = 0; i < x.size(); ++i) zero[i] = detector_out[i] <= 0.0;
+  OSDP_ASSIGN_OR_RETURN(DawaResult dawa, Dawa(x, eps2, opts.dawa, rng));
+  Histogram out = dawa.estimate;
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (zero[i]) out[i] = 0.0;
+  }
+  for (const DawaBucket& b : dawa.partition) {
+    size_t zeroed = 0;
+    for (size_t i = b.begin; i < b.end; ++i) zeroed += zero[i] ? 1 : 0;
+    if (zeroed == 0) continue;
+    const size_t survivors = b.size() - zeroed;
+    if (survivors == 0) continue;  // whole bucket declared empty
+    const double ratio =
+        static_cast<double>(b.size()) / static_cast<double>(survivors);
+    for (size_t i = b.begin; i < b.end; ++i) {
+      if (!zero[i]) out[i] *= ratio;
+    }
+  }
+  return out;
+}
+
+// A histogram with empty stretches (whole DAWA buckets the detector zeroes),
+// isolated spikes and a few small counts (buckets it zeroes in part).
+Histogram MixedTruth(size_t d, uint64_t seed) {
+  Rng rng(seed * 1000003 + d);
+  Histogram x(d);
+  for (size_t i = 0; i < d; ++i) {
+    const uint64_t kind = rng.NextBounded(8);
+    if (kind == 0) x[i] = static_cast<double>(rng.NextBounded(400));
+    if (kind == 1) x[i] = static_cast<double>(rng.NextBounded(4));
+  }
+  return x;
+}
+
+TEST(DawazTest, MatchesReferenceOracleBitForBit) {
+  // Dawaz is ApplyOsdpRecipe over the DAWA adapter; it must release exactly
+  // what the direct bucket-walking form releases, and leave the Rng in the
+  // same state, for every detector, ρ and pool setting.
+  ThreadPool pool(2);
+  size_t cases = 0;
+  for (size_t d : {size_t{1}, size_t{7}, size_t{64}, size_t{1000},
+                   size_t{4096}, size_t{16384}}) {
+    for (uint64_t seed = 0; seed < 10; ++seed) {
+      const Histogram x = MixedTruth(d, seed);
+      Histogram xns(d);
+      Rng split(seed + 77);
+      for (size_t i = 0; i < d; ++i) {
+        xns[i] = static_cast<double>(
+            split.NextBounded(static_cast<uint64_t>(x[i]) + 1));
+      }
+      for (double rho : {0.1, 0.5}) {
+        for (DawazZeroDetector detector :
+             {DawazZeroDetector::kOsdpRR, DawazZeroDetector::kOsdpLaplaceL1}) {
+          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            DawazOptions opts;
+            opts.zero_budget_ratio = rho;
+            opts.detector = detector;
+            opts.dawa.pool = p;
+            Rng rng(seed * 31 + d), rng_ref(seed * 31 + d);
+            const Histogram got = *Dawaz(x, xns, 0.8, opts, rng);
+            const Histogram want = *ReferenceDawaz(x, xns, 0.8, opts, rng_ref);
+            ASSERT_EQ(got.counts(), want.counts())
+                << "d=" << d << " seed=" << seed << " rho=" << rho;
+            ASSERT_EQ(rng.Next(), rng_ref.Next())
+                << "d=" << d << " seed=" << seed << " rho=" << rho;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6u * 10u * 2u * 2u * 2u);
 }
 
 TEST(DawazTest, ValidatesInputs) {

@@ -87,6 +87,27 @@ TEST(OsdpRRTest, RejectsNonPositiveEpsilon) {
   EXPECT_FALSE(OsdpRRSelect(t, MinorsSensitive(), -1.0, rng).ok());
 }
 
+TEST(OsdpRRTest, RejectsAPolicyThatDoesNotTypeCheck) {
+  // Unknown column -> NotFound, string literal on a numeric column ->
+  // InvalidArgument, from every table entry point and before any coin is
+  // drawn.
+  const Table t = PeopleTable(5, 5);
+  const Policy unknown =
+      Policy::SensitiveWhen(Predicate::Le("no_such_column", Value(17)));
+  const Policy mixed =
+      Policy::SensitiveWhen(Predicate::Eq("age", Value(std::string("x"))));
+  for (const auto& [policy, code] :
+       {std::pair{unknown, StatusCode::kNotFound},
+        std::pair{mixed, StatusCode::kInvalidArgument}}) {
+    Rng rng(3);
+    const uint64_t untouched = Rng(3).Next();
+    EXPECT_EQ(OsdpRRSelect(t, policy, 1.0, rng).status().code(), code);
+    EXPECT_EQ(OsdpRRRelease(t, policy, 1.0, rng).status().code(), code);
+    EXPECT_EQ(OsdpRRReleaseView(t, policy, 1.0, rng).status().code(), code);
+    EXPECT_EQ(rng.Next(), untouched);
+  }
+}
+
 TEST(OsdpRRTest, GenericOverTrajLikeRecords) {
   struct Rec {
     int v;

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/common/check.h"
+#include "src/common/distributions.h"
 #include "src/eval/metrics.h"
 #include "src/mech/ahp.h"
 #include "src/mech/hierarchical.h"
@@ -22,24 +25,109 @@ Histogram SparseTruth(size_t d, double mass = 400.0) {
   return x;
 }
 
-// ----------------------------------------------------------- bin groups ---
-
-TEST(BinGroupsTest, ValidatesTiling) {
-  EXPECT_TRUE(ValidateBinGroups({{0, 1}, {2}}, 3).ok());
-  EXPECT_FALSE(ValidateBinGroups({{0, 1}}, 3).ok());        // missing bin
-  EXPECT_FALSE(ValidateBinGroups({{0, 1}, {1, 2}}, 3).ok()); // overlap
-  EXPECT_FALSE(ValidateBinGroups({{0, 3}}, 3).ok());         // out of range
-  EXPECT_FALSE(ValidateBinGroups({{0}, {}}, 1).ok());        // empty group
+// Reference oracle: the hierarchical release with each node's residual split
+// equally among its children, the rule that is variance-optimal only on
+// balanced trees. Same tree, noise draws and upward pass as
+// HierarchicalRelease, so paired Rngs isolate the downward split rule.
+Histogram EqualSplitHierarchical(const Histogram& x, double epsilon,
+                                 const HierarchicalOptions& opts, Rng& rng) {
+  struct Node {
+    size_t begin, end;
+    double noisy = 0.0, estimate = 0.0;
+    std::vector<size_t> children;
+  };
+  const size_t d = x.size();
+  const auto fanout = static_cast<size_t>(opts.fanout);
+  std::vector<Node> arena = {{0, d, 0.0, 0.0, {}}};
+  for (size_t idx = 0; idx < arena.size(); ++idx) {
+    const size_t begin = arena[idx].begin;
+    const size_t end = arena[idx].end;
+    if (end - begin <= 1) continue;
+    const size_t child_width = (end - begin + fanout - 1) / fanout;
+    for (size_t b = begin; b < end; b += child_width) {
+      arena.push_back({b, std::min(end, b + child_width), 0.0, 0.0, {}});
+      arena[idx].children.push_back(arena.size() - 1);
+    }
+  }
+  int h = 1;
+  for (size_t idx = 0; !arena[idx].children.empty();
+       idx = arena[idx].children[0]) {
+    ++h;
+  }
+  const double scale = 2.0 * static_cast<double>(h) / epsilon;
+  std::vector<double> prefix(d + 1, 0.0);
+  for (size_t i = 0; i < d; ++i) prefix[i + 1] = prefix[i] + x[i];
+  for (Node& node : arena) {
+    const double truth = prefix[node.end] - prefix[node.begin];
+    node.noisy = truth + SampleLaplace(rng, scale);
+  }
+  const double own_var = scale * scale * 2.0;
+  std::vector<double> variance(arena.size(), own_var);
+  for (size_t idx = arena.size(); idx-- > 0;) {
+    Node& node = arena[idx];
+    if (node.children.empty()) {
+      node.estimate = node.noisy;
+      continue;
+    }
+    double child_sum = 0.0;
+    double child_var = 0.0;
+    for (size_t c : node.children) {
+      child_sum += arena[c].estimate;
+      child_var += variance[c];
+    }
+    const double w = child_var / (own_var + child_var);
+    node.estimate = w * node.noisy + (1.0 - w) * child_sum;
+    variance[idx] = own_var * child_var / (own_var + child_var);
+  }
+  for (Node& node : arena) {
+    if (node.children.empty()) continue;
+    double child_sum = 0.0;
+    for (size_t c : node.children) child_sum += arena[c].estimate;
+    const double share = (node.estimate - child_sum) /
+                         static_cast<double>(node.children.size());
+    for (size_t c : node.children) arena[c].estimate += share;
+  }
+  Histogram out(d);
+  for (const Node& node : arena) {
+    if (!node.children.empty()) continue;
+    out[node.begin] = opts.clamp_non_negative ? std::max(node.estimate, 0.0)
+                                              : node.estimate;
+  }
+  return out;
 }
 
-TEST(TwoPhaseTest, DawaAdapterExposesContiguousGroups) {
-  Histogram x(std::vector<double>(64, 5.0));
-  Rng rng(1);
+// ----------------------------------------------------------- bin groups ---
+
+TEST(BinGroupsTest, ValidatesLabels) {
+  EXPECT_TRUE(ValidateBinGroups({{0, 0, 1}, 2}, 3).ok());
+  EXPECT_TRUE(ValidateBinGroups({{1, 0, 1}, 2}, 3).ok());  // non-contiguous
+  EXPECT_FALSE(ValidateBinGroups({{0, 0}, 1}, 3).ok());     // too few labels
+  EXPECT_FALSE(ValidateBinGroups({{0, 0, 0, 0}, 1}, 3).ok());  // too many
+  EXPECT_FALSE(ValidateBinGroups({{0, 2, 1}, 2}, 3).ok());  // out of range
+  EXPECT_FALSE(ValidateBinGroups({{0, 0, 2}, 3}, 3).ok());  // group 1 empty
+  EXPECT_FALSE(ValidateBinGroups({{}, 1}, 0).ok());         // group 0 empty
+  EXPECT_TRUE(ValidateBinGroups({{}, 0}, 0).ok());
+}
+
+TEST(TwoPhaseTest, DawaAdapterLabelsBucketsInOrder) {
+  // Bucket k of the DAWA partition is group k: labels step by one exactly
+  // where a bucket ends, and the adapter consumes DAWA's exact noise.
+  Histogram x = SparseTruth(256);
+  x[100] = 37.0;
   auto dawa = MakeDawaTwoPhase();
   EXPECT_EQ(dawa->name(), "DAWA");
+  Rng rng(1), rng_ref(1);
   TwoPhaseMechanism::Output out = *dawa->Run(x, 1.0, rng);
-  EXPECT_EQ(out.estimate.size(), 64u);
-  EXPECT_TRUE(ValidateBinGroups(out.groups, 64).ok());
+  DawaResult ref = *Dawa(x, 1.0, rng_ref);
+  EXPECT_EQ(out.estimate.counts(), ref.estimate.counts());
+  EXPECT_EQ(rng.Next(), rng_ref.Next());
+  ASSERT_TRUE(ValidateBinGroups(out.groups, 256).ok());
+  ASSERT_EQ(out.groups.num_groups, ref.partition.size());
+  for (uint32_t k = 0; k < ref.partition.size(); ++k) {
+    for (size_t i = ref.partition[k].begin; i < ref.partition[k].end; ++i) {
+      EXPECT_EQ(out.groups.label[i], k) << i;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ AHP ---
@@ -59,10 +147,12 @@ TEST(AhpTest, GroupsShareEstimates) {
   Histogram x = SparseTruth(64);
   Rng rng(3);
   TwoPhaseMechanism::Output out = *Ahp(x, 1.0, AhpOptions{}, rng);
-  for (const auto& group : out.groups) {
-    for (uint32_t bin : group) {
-      EXPECT_DOUBLE_EQ(out.estimate[bin], out.estimate[group[0]]);
-    }
+  ASSERT_TRUE(ValidateBinGroups(out.groups, 64).ok());
+  std::vector<double> group_value(out.groups.num_groups, -1.0);
+  for (size_t i = 0; i < 64; ++i) {
+    double& value = group_value[out.groups.label[i]];
+    if (value < 0.0) value = out.estimate[i];
+    EXPECT_DOUBLE_EQ(out.estimate[i], value) << i;
   }
 }
 
@@ -75,14 +165,9 @@ TEST(AhpTest, ClustersAreValueBasedNotContiguous) {
   Rng rng(4);
   AhpOptions opts;
   TwoPhaseMechanism::Output out = *Ahp(x, 20.0, opts, rng);  // low noise
-  // Find the group containing bin 0; with low noise, bin 63 should share it.
-  for (const auto& group : out.groups) {
-    const bool has0 =
-        std::find(group.begin(), group.end(), 0u) != group.end();
-    if (has0) {
-      EXPECT_NE(std::find(group.begin(), group.end(), 63u), group.end());
-    }
-  }
+  // With low noise, bins 0 and 63 share a group and bin 1 does not.
+  EXPECT_EQ(out.groups.label[0], out.groups.label[63]);
+  EXPECT_NE(out.groups.label[0], out.groups.label[1]);
 }
 
 TEST(AhpTest, BeatsLaplaceOnSparseData) {
@@ -114,7 +199,8 @@ TEST(HierarchicalTest, OutputShapeAndSingletonGroups) {
       *HierarchicalRelease(x, 1.0, HierarchicalOptions{}, rng);
   EXPECT_EQ(out.estimate.size(), 100u);
   EXPECT_TRUE(ValidateBinGroups(out.groups, 100).ok());
-  for (const auto& group : out.groups) EXPECT_EQ(group.size(), 1u);
+  EXPECT_EQ(out.groups.num_groups, 100u);
+  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(out.groups.label[i], i);
 }
 
 TEST(HierarchicalTest, ConsistencyImprovesTotalEstimate) {
@@ -148,13 +234,11 @@ TEST(HierarchicalTest, EqualSplitMatchesWeightedOnBalancedTree) {
   // With d a power of the fanout every subtree is balanced, all sibling
   // variances are equal, and the two split rules must coincide exactly.
   Histogram x(std::vector<double>(64, 12.0));
-  HierarchicalOptions weighted, equal;
-  weighted.residual_split = ResidualSplit::kVarianceWeighted;
-  equal.residual_split = ResidualSplit::kEqual;
-  equal.clamp_non_negative = weighted.clamp_non_negative = false;
+  HierarchicalOptions opts;
+  opts.clamp_non_negative = false;
   Rng rng_w(41), rng_e(41);  // identical noise streams
-  Histogram hw = HierarchicalRelease(x, 0.7, weighted, rng_w)->estimate;
-  Histogram he = HierarchicalRelease(x, 0.7, equal, rng_e)->estimate;
+  Histogram hw = HierarchicalRelease(x, 0.7, opts, rng_w)->estimate;
+  Histogram he = EqualSplitHierarchical(x, 0.7, opts, rng_e);
   for (size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(hw[i], he[i]);
 }
 
@@ -169,11 +253,9 @@ TEST(HierarchicalTest, WeightedSplitBeatsEqualOnUnbalancedTrees) {
   // The squared-error gap is the theory-backed one (GLS minimizes every
   // leaf's variance); the L1 gap is smaller because the weighted correction
   // also reshapes the error distribution, but both favour weighting here.
-  HierarchicalOptions weighted, equal;
-  weighted.fanout = equal.fanout = 2;
-  weighted.residual_split = ResidualSplit::kVarianceWeighted;
-  equal.residual_split = ResidualSplit::kEqual;
-  equal.clamp_non_negative = weighted.clamp_non_negative = false;
+  HierarchicalOptions opts;
+  opts.fanout = 2;
+  opts.clamp_non_negative = false;
   double weighted_l1 = 0.0, equal_l1 = 0.0;
   double weighted_l2 = 0.0, equal_l2 = 0.0;
   for (size_t d : {size_t{9}, size_t{17}, size_t{33}, size_t{37},
@@ -184,8 +266,8 @@ TEST(HierarchicalTest, WeightedSplitBeatsEqualOnUnbalancedTrees) {
     }
     for (int rep = 0; rep < 4000; ++rep) {
       Rng rng_w(1000 + rep), rng_e(1000 + rep);
-      Histogram hw = HierarchicalRelease(x, 0.5, weighted, rng_w)->estimate;
-      Histogram he = HierarchicalRelease(x, 0.5, equal, rng_e)->estimate;
+      Histogram hw = HierarchicalRelease(x, 0.5, opts, rng_w)->estimate;
+      Histogram he = EqualSplitHierarchical(x, 0.5, opts, rng_e);
       for (size_t i = 0; i < d; ++i) {
         weighted_l1 += std::abs(hw[i] - x[i]);
         equal_l1 += std::abs(he[i] - x[i]);
@@ -210,20 +292,6 @@ TEST(HierarchicalTest, FanoutVariantsAllTile) {
 }
 
 // ----------------------------------------------------------- the recipe ---
-
-TEST(RecipeTest, DawaRecipeMatchesDawazSemantics) {
-  // The recipe instantiated on DAWA is DAWAz; outputs should agree in their
-  // invariants (zero preservation, shape) even though the noise draws differ.
-  Histogram x = SparseTruth(128);
-  Rng rng(11);
-  RecipeOptions opts;
-  opts.zero_budget_ratio = 0.5;
-  Histogram out = *ApplyOsdpRecipe(*MakeDawaTwoPhase(), x, x, 8.0, opts, rng);
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (x[i] == 0.0) { EXPECT_DOUBLE_EQ(out[i], 0.0); }
-    EXPECT_GE(out[i], 0.0);
-  }
-}
 
 TEST(RecipeTest, AhpzAndHierarchicalzRun) {
   Histogram x = SparseTruth(256);
